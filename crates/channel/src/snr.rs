@@ -25,7 +25,7 @@
 //! protocols exploit.
 
 use crate::environments::Environment;
-use hint_sensors::motion::MotionProfile;
+use hint_sensors::motion::{MotionProfile, SegmentCursor};
 use hint_sim::{RngStream, SimDuration, SimTime};
 
 /// Walking-speed coherence-time anchor: 10 ms at 1.4 m/s (Fig. 3-1).
@@ -72,6 +72,8 @@ pub fn coherence_time(speed_mps: f64, static_coherence_s: f64) -> f64 {
 pub struct ChannelModel {
     env: Environment,
     profile: MotionProfile,
+    /// Forward position in `profile` (queries walk time forward).
+    cursor: SegmentCursor,
     rng: RngStream,
     /// Scattered (diffuse) component, in-phase and quadrature.
     h_i: f64,
@@ -111,6 +113,7 @@ impl ChannelModel {
             scatter_static: (1.0 / (k_s + 1.0)).sqrt(),
             env,
             profile,
+            cursor: SegmentCursor::new(),
             rng,
             h_i: 0.0,
             h_q: 0.0,
@@ -161,7 +164,7 @@ impl ChannelModel {
         };
         self.last_us = t_us;
 
-        let state = self.profile.state_at(t);
+        let state = self.cursor.state(&self.profile, t);
         let speed = state.speed_mps();
         let moving = state.is_moving();
 

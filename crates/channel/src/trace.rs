@@ -16,7 +16,7 @@ use crate::delivery::delivery_table;
 use crate::environments::Environment;
 use crate::snr::ChannelModel;
 use hint_mac::BitRate;
-use hint_sensors::motion::MotionProfile;
+use hint_sensors::motion::{MotionProfile, SegmentCursor};
 use hint_sim::{RngStream, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -85,10 +85,11 @@ impl Trace {
         channel.snr_block(SimTime::ZERO, SLOT_DURATION, &mut snrs);
 
         let table = delivery_table();
+        let mut cursor = SegmentCursor::new();
         let mut slots = Vec::with_capacity(n_slots as usize);
         for (i, &snr) in snrs.iter().enumerate() {
             let t = SimTime::from_micros(i as u64 * SLOT_DURATION.as_micros());
-            let state = profile.state_at(t);
+            let state = cursor.state(profile, t);
             let mut fates = [false; BitRate::COUNT];
             for &rate in &BitRate::ALL {
                 // SNR-driven reception only; per-packet noise loss is

@@ -18,7 +18,7 @@
 //! times per second, matching the qualitative plot in Fig. 2-2. The detector
 //! constants themselves are the paper's, untouched.
 
-use crate::motion::{MotionProfile, MotionState};
+use crate::motion::{MotionProfile, MotionState, SegmentCursor};
 use hint_sim::{RngStream, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -72,6 +72,8 @@ impl Default for AccelConfig {
 #[derive(Clone, Debug)]
 pub struct Accelerometer {
     profile: MotionProfile,
+    /// Forward position in `profile` (reports walk time monotonically).
+    cursor: SegmentCursor,
     cfg: AccelConfig,
     rng: RngStream,
     t: SimTime,
@@ -85,6 +87,7 @@ impl Accelerometer {
     pub fn new(profile: MotionProfile, rng: RngStream) -> Self {
         Accelerometer {
             profile,
+            cursor: SegmentCursor::new(),
             cfg: AccelConfig::default(),
             rng,
             t: SimTime::ZERO,
@@ -96,6 +99,7 @@ impl Accelerometer {
     pub fn with_config(profile: MotionProfile, cfg: AccelConfig, rng: RngStream) -> Self {
         Accelerometer {
             profile,
+            cursor: SegmentCursor::new(),
             cfg,
             rng,
             t: SimTime::ZERO,
@@ -111,7 +115,7 @@ impl Accelerometer {
     /// Produce the next 2 ms force report.
     pub fn next_report(&mut self) -> ForceReport {
         let t = self.t;
-        let state = self.profile.state_at(t);
+        let state = self.cursor.state(&self.profile, t);
         let secs = t.as_secs_f64();
 
         // Motion-induced force component per axis.

@@ -64,8 +64,15 @@ pub struct JerkSample {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct MovementDetector {
-    /// Ring buffer of the last `2 × AVG_WINDOW` reports' force vectors.
-    window: Vec<[f64; 3]>,
+    /// Ring of the last `AVG_WINDOW` reports' force vectors; report `n`
+    /// (0-based) lives in slot `n % AVG_WINDOW`.
+    reports: [[f64; 3]; AVG_WINDOW],
+    /// Ring of the per-axis sums of the `AVG_WINDOW` reports ending at
+    /// each of the last `AVG_WINDOW + 1` reports; the sum ending at report
+    /// `n` lives in slot `n % (AVG_WINDOW + 1)`. The "recent" sum at
+    /// report `t` is the "older" sum at report `t + AVG_WINDOW`, so each
+    /// half-window is summed once.
+    sums: [[f64; 3]; AVG_WINDOW + 1],
     /// Current hint value `H_t`.
     moving: bool,
     /// Reports elapsed since a jerk value last exceeded the threshold.
@@ -78,7 +85,8 @@ impl MovementDetector {
     /// Fresh detector with `H_0 = 0`.
     pub fn new() -> Self {
         MovementDetector {
-            window: Vec::with_capacity(2 * AVG_WINDOW),
+            reports: [[0.0; 3]; AVG_WINDOW],
+            sums: [[0.0; 3]; AVG_WINDOW + 1],
             moving: false,
             reports_since_jerk: HYSTERESIS_REPORTS + 1,
             count: 0,
@@ -98,27 +106,30 @@ impl MovementDetector {
 
     /// Feed one force report; returns the jerk and updated hint.
     pub fn push(&mut self, report: &ForceReport) -> JerkSample {
+        let n = self.count as usize;
         self.count += 1;
-        if self.window.len() == 2 * AVG_WINDOW {
-            self.window.remove(0);
-        }
-        self.window.push([report.x, report.y, report.z]);
+        self.reports[n % AVG_WINDOW] = [report.x, report.y, report.z];
 
-        let jerk = if self.window.len() == 2 * AVG_WINDOW {
-            // Older half: indices 0..5; recent half: indices 5..10.
-            let avg = |range: std::ops::Range<usize>| {
-                let mut s = [0.0f64; 3];
-                for i in range.clone() {
-                    for (a, acc) in s.iter_mut().enumerate() {
-                        *acc += self.window[i][a];
-                    }
+        let jerk = if n + 1 >= AVG_WINDOW {
+            // Sum the last five reports oldest-first from zero, exactly as
+            // a sliding ten-report window would sum its recent half.
+            let mut sum = [0.0f64; 3];
+            for k in 1..=AVG_WINDOW {
+                let r = &self.reports[(n + k) % AVG_WINDOW];
+                for (acc, v) in sum.iter_mut().zip(r) {
+                    *acc += v;
                 }
-                let n = range.len() as f64;
-                [s[0] / n, s[1] / n, s[2] / n]
-            };
-            let old = avg(0..AVG_WINDOW);
-            let new = avg(AVG_WINDOW..2 * AVG_WINDOW);
-            (new[0] - old[0]).powi(2) + (new[1] - old[1]).powi(2) + (new[2] - old[2]).powi(2)
+            }
+            self.sums[n % (AVG_WINDOW + 1)] = sum;
+            if n + 1 >= 2 * AVG_WINDOW {
+                // The older half is the sum taken five reports ago.
+                let old = self.sums[(n + 1) % (AVG_WINDOW + 1)];
+                let w = AVG_WINDOW as f64;
+                let (new, old) = (sum.map(|s| s / w), old.map(|s| s / w));
+                (new[0] - old[0]).powi(2) + (new[1] - old[1]).powi(2) + (new[2] - old[2]).powi(2)
+            } else {
+                0.0
+            }
         } else {
             0.0
         };

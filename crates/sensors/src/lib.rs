@@ -38,4 +38,4 @@ pub mod wifi_loc;
 pub use accelerometer::{Accelerometer, ForceReport, ACCEL_REPORT_PERIOD};
 pub use hints::{HeadingHint, MobilityHints, MovementHint, PositionHint, SpeedHint};
 pub use jerk::{MovementDetector, JERK_THRESHOLD};
-pub use motion::{MotionProfile, MotionSegment, MotionState};
+pub use motion::{MotionProfile, MotionSegment, MotionState, SegmentCursor};

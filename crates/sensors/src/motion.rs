@@ -181,6 +181,9 @@ impl MotionProfile {
 
     /// The segment active at time `t` (the last segment if `t` is past the
     /// end of the schedule).
+    ///
+    /// This scans the schedule from the start; callers that walk time
+    /// forward use a [`SegmentCursor`] instead.
     pub fn segment_at(&self, t: SimTime) -> &MotionSegment {
         let mut elapsed = SimDuration::ZERO;
         for seg in &self.segments {
@@ -241,6 +244,55 @@ impl MotionProfile {
             elapsed += seg.duration;
         }
         out
+    }
+}
+
+/// A forward cursor over a [`MotionProfile`]'s segments.
+///
+/// [`SegmentCursor::segment`] answers exactly what
+/// [`MotionProfile::segment_at`] answers — the first segment whose
+/// cumulative end is past `t`, else the last — but resumes from the
+/// previous answer, so a caller walking time forward pays O(1) amortized
+/// per query instead of a scan from the start. A query earlier than the
+/// current segment restarts from the first segment, so any query order
+/// stays correct. The cursor holds no reference: pass it the same profile
+/// on every call.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SegmentCursor {
+    /// Index of the current segment.
+    idx: usize,
+    /// Cumulative end of the segments before `idx`, µs.
+    start_us: u64,
+}
+
+impl SegmentCursor {
+    /// A cursor positioned at the first segment.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The segment of `profile` active at time `t` (the last segment if
+    /// `t` is past the end of the schedule).
+    pub fn segment<'p>(&mut self, profile: &'p MotionProfile, t: SimTime) -> &'p MotionSegment {
+        let segs = &profile.segments;
+        let t_us = t.as_micros();
+        if t_us < self.start_us {
+            *self = SegmentCursor::default();
+        }
+        loop {
+            let seg = &segs[self.idx];
+            let end_us = self.start_us + seg.duration.as_micros();
+            if t_us < end_us || self.idx + 1 == segs.len() {
+                return seg;
+            }
+            self.idx += 1;
+            self.start_us = end_us;
+        }
+    }
+
+    /// Mobility state of `profile` at time `t`.
+    pub fn state(&mut self, profile: &MotionProfile, t: SimTime) -> MotionState {
+        self.segment(profile, t).state
     }
 }
 
@@ -319,5 +371,37 @@ mod tests {
         let p = MotionProfile::half_and_half(SimDuration::from_secs(10), true);
         // Exactly at t=10s the walking segment has begun.
         assert!(p.is_moving_at(SimTime::from_secs(10)));
+    }
+
+    #[test]
+    fn cursor_matches_segment_at_on_a_5000_segment_custom_profile() {
+        // Irregular durations, zero-length segments included, so segment
+        // boundaries fall both on and off the query grid.
+        let segs: Vec<MotionSegment> = (0..5_000u64)
+            .map(|i| MotionSegment {
+                state: match i % 3 {
+                    0 => MotionState::Static,
+                    1 => MotionState::Walking { speed_mps: 1.4 },
+                    _ => MotionState::Vehicle { speed_mps: 9.0 },
+                },
+                duration: SimDuration::from_micros((i * 7_919) % 4_000),
+                heading_deg: (i % 360) as f64,
+            })
+            .collect();
+        let p = MotionProfile::new(segs);
+        let end = p.duration().as_micros() + 50_000;
+        let mut forward = SegmentCursor::new();
+        let mut t = 0;
+        while t < end {
+            let at = SimTime::from_micros(t);
+            assert_eq!(forward.segment(&p, at), p.segment_at(at), "t = {t} µs");
+            t += 1_000;
+        }
+        // Backwards and jumping queries restart the cursor correctly.
+        let mut jumpy = SegmentCursor::new();
+        for &t in &[end, 0, 3_999, 1, end / 2, end / 3, end / 2 + 1, 0] {
+            let at = SimTime::from_micros(t);
+            assert_eq!(jumpy.state(&p, at), p.state_at(at), "t = {t} µs");
+        }
     }
 }
