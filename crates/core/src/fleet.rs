@@ -14,7 +14,9 @@
 //!   [`hint_ap::association::should_handoff`] hysteresis, so an
 //!   unchanged scan can never ping-pong.
 //! * **Hints** — each client runs the same hint pipeline as a
-//!   single-link scenario ([`HintStream`]); the hint gates the dwell
+//!   single-link scenario ([`HintStream`]), once, over the whole run:
+//!   scans query it and every span's adapter reads its window of it, so
+//!   the AP and the rate adapter see one detector. The hint gates the dwell
 //!   prediction (a client that believes it is static scores every
 //!   covering AP as an infinite dwell and stays put) and rides frames to
 //!   the AP, whose [`NeighborHints`] table decides how departures are
@@ -411,7 +413,8 @@ pub struct FleetScenario {
     /// compile time (span simulation never touches the filesystem).
     workloads: Vec<Workload>,
     /// Full-duration hint stream per client (`None` for hint-oblivious
-    /// fleets) — drives the association/handoff decisions.
+    /// fleets) — drives the association/handoff decisions, and each
+    /// span's adapter reads its window of it.
     hints: Vec<Option<HintStream>>,
     /// Per-client root seeds, derived from the fleet seed.
     client_seeds: Vec<u64>,
@@ -475,6 +478,22 @@ struct SpanTask {
     from: SimTime,
     to: SimTime,
     ap: usize,
+}
+
+/// What Phases A and A' hand to Phase B and outcome assembly.
+struct SpanPlan {
+    runs: Vec<ClientRun>,
+    /// The Phase B arena: one task per span long enough to simulate.
+    tasks: Vec<SpanTask>,
+    /// Airtime share per `(ap, epoch, client)` from the arbiter.
+    epoch_shares: BTreeMap<(usize, u64, usize), f64>,
+    ap_assoc_s: Vec<f64>,
+    ap_handoffs_in: Vec<u32>,
+    ap_wasted_s: Vec<f64>,
+    ap_evictions: Vec<u32>,
+    ap_busy_s: Vec<f64>,
+    ap_collision_s: Vec<f64>,
+    ap_collisions: Vec<u32>,
 }
 
 /// Fold one span's simulation result into its client's running sums.
@@ -693,21 +712,10 @@ impl FleetScenario {
         self.run_with_jobs(1)
     }
 
-    /// Run the fleet with `jobs` worker threads sharding the span
-    /// traffic simulations (Phase B). The association event loop and the
-    /// medium arbitration stay serial — they are a tiny fraction of the
-    /// runtime — while every association span's [`LinkSimulator`] run is
-    /// a pure function of the spec seed and so shards freely. Span
-    /// results stream into per-client running sums whose merge is
-    /// commutative integer addition, which makes the outcome
-    /// **byte-identical for every `jobs` value**; `jobs == 1` (what
-    /// [`FleetScenario::run`] uses) takes a pool-free serial path.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `jobs == 0`.
-    pub fn run_with_jobs(&self, jobs: usize) -> FleetOutcome {
-        assert!(jobs >= 1, "jobs must be >= 1");
+    /// Phases A and A' plus the Phase B task arena: the association
+    /// event loop, the medium arbitration, and the spans they leave for
+    /// traffic simulation.
+    fn plan(&self) -> SpanPlan {
         let n_clients = self.spec.clients.len();
         let n_aps = self.spec.aps.len();
         let duration = self.spec.duration;
@@ -1100,6 +1108,52 @@ impl FleetScenario {
             }
         }
 
+        SpanPlan {
+            runs,
+            tasks,
+            epoch_shares,
+            ap_assoc_s,
+            ap_handoffs_in,
+            ap_wasted_s,
+            ap_evictions,
+            ap_busy_s,
+            ap_collision_s,
+            ap_collisions,
+        }
+    }
+
+    /// Run the fleet with `jobs` worker threads sharding the span
+    /// traffic simulations (Phase B). The association event loop and the
+    /// medium arbitration stay serial — they are a tiny fraction of the
+    /// runtime — while every association span's [`LinkSimulator`] run is
+    /// a pure function of the spec seed and so shards freely. Span
+    /// results stream into per-client running sums whose merge is
+    /// commutative integer addition, which makes the outcome
+    /// **byte-identical for every `jobs` value**; `jobs == 1` (what
+    /// [`FleetScenario::run`] uses) takes a pool-free serial path.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `jobs == 0`.
+    pub fn run_with_jobs(&self, jobs: usize) -> FleetOutcome {
+        assert!(jobs >= 1, "jobs must be >= 1");
+        let n_clients = self.spec.clients.len();
+        let n_aps = self.spec.aps.len();
+        let duration = self.spec.duration;
+        let client_hints_on = !matches!(self.spec.hints, HintSpec::None);
+        let SpanPlan {
+            runs,
+            tasks,
+            epoch_shares,
+            ap_assoc_s,
+            ap_handoffs_in,
+            ap_wasted_s,
+            ap_evictions,
+            ap_busy_s,
+            ap_collision_s,
+            ap_collisions,
+        } = self.plan();
+
         // Per-client streaming accumulators: O(clients) memory however
         // many spans the run produced.
         let mut merged: Vec<SimResult> = (0..n_clients)
@@ -1219,6 +1273,28 @@ impl FleetScenario {
         task: &SpanTask,
         epoch_shares: &BTreeMap<(usize, u64, usize), f64>,
     ) -> SimResult {
+        let sim = self.span_link(task, epoch_shares);
+        let mut adapter = (self.factory)(&self.spec.protocol.params());
+        // A trace workload replays the records that fall inside this
+        // span, rebased to span-local time, so a client's recorded
+        // schedule survives handoffs intact; Udp/Tcp borrow as-is.
+        let workload = match &self.workloads[task.client] {
+            Workload::Trace(TraceSource::Inline(t)) => Cow::Owned(Workload::Trace(
+                TraceSource::Inline(t.window(task.from, task.to)),
+            )),
+            w => Cow::Borrowed(w),
+        };
+        sim.run(adapter.as_mut(), &workload)
+    }
+
+    /// The link simulator one span runs on: the span's channel trace, its
+    /// window of the client's hint stream, the AP's backhaul and the
+    /// arbiter's airtime shares.
+    fn span_link(
+        &self,
+        task: &SpanTask,
+        epoch_shares: &BTreeMap<(usize, u64, usize), f64>,
+    ) -> LinkSimulator<'static> {
         let &SpanTask {
             client: c,
             span_idx: k,
@@ -1248,8 +1324,10 @@ impl FleetScenario {
             .seed();
         let trace = Trace::generate(&span_env, &span_profile, span, span_seed);
         let mut sim = LinkSimulator::from_trace(trace).with_payload(self.spec.payload_bytes);
-        if let Some(stream) = self.span_hints(&span_profile, span, span_seed) {
-            sim = sim.with_owned_hints(stream);
+        // The adapter reads the same hint stream the scans read: the
+        // client's one detector, windowed to this span.
+        if let Some(stream) = &self.hints[c] {
+            sim = sim.with_owned_hints(stream.window(from, to));
         }
         // The span's AP brings its wired backhaul (if the spec gave it
         // one): a Flow workload's connection state — window, RTT
@@ -1275,17 +1353,7 @@ impl FleetScenario {
                 .collect();
             sim = sim.with_airtime_shares(span_shares);
         }
-        let mut adapter = (self.factory)(&self.spec.protocol.params());
-        // A trace workload replays the records that fall inside this
-        // span, rebased to span-local time, so a client's recorded
-        // schedule survives handoffs intact; Udp/Tcp borrow as-is.
-        let workload = match &self.workloads[c] {
-            Workload::Trace(TraceSource::Inline(t)) => {
-                Cow::Owned(Workload::Trace(TraceSource::Inline(t.window(from, to))))
-            }
-            w => Cow::Borrowed(w),
-        };
-        sim.run(adapter.as_mut(), &workload)
+        sim
     }
 
     /// Activate an association for `run` at `now` (plus the
@@ -1323,26 +1391,6 @@ impl FleetScenario {
         run.current = Some(ap_id);
         run.span_start = active;
         recorded
-    }
-
-    /// The hint stream a single association span feeds its adapter
-    /// (regenerated over the span profile, like a detector restarting on
-    /// reassociation).
-    fn span_hints(
-        &self,
-        span_profile: &MotionProfile,
-        span: SimDuration,
-        span_seed: u64,
-    ) -> Option<HintStream> {
-        match &self.spec.hints {
-            HintSpec::None => None,
-            HintSpec::Oracle { latency } => Some(HintStream::oracle(span_profile, span, *latency)),
-            HintSpec::Sensors { .. } => Some(HintStream::from_sensors(
-                span_profile,
-                span,
-                span_seed ^ HINT_SEED_MASK,
-            )),
-        }
     }
 }
 
@@ -1385,6 +1433,79 @@ mod tests {
             .seed(0xF1EE7)
             .handoff_policy(policy)
             .into_spec()
+    }
+
+    /// Every span's simulator reads the client's one compiled hint
+    /// stream, offset to the span start — on the report grid, between
+    /// reports, and past the span's end — under the default and an
+    /// explicit sensor seed, so the adapter and the scans always read the
+    /// same detector.
+    #[test]
+    fn span_simulators_window_the_compiled_hint_stream() {
+        let seeds = [None, Some(0xACCE1)];
+        for explicit in seeds {
+            let mut spec = crossing_fleet("hint-aware");
+            spec.hints = HintSpec::Sensors { seed: explicit };
+            let fleet = FleetScenario::compile(&spec).expect("valid");
+            let end = SimTime::ZERO + spec.duration;
+            for (c, client) in spec.clients.iter().enumerate() {
+                let client_seed = RngStream::new(spec.seed)
+                    .derive_idx("fleet-client", c as u64)
+                    .seed();
+                let hint_seed = match explicit {
+                    Some(s) => RngStream::new(s).derive_idx("fleet-hints", c as u64).seed(),
+                    None => client_seed ^ HINT_SEED_MASK,
+                };
+                let want = HintStream::from_sensors(
+                    &client.motion.profile(spec.duration),
+                    spec.duration,
+                    hint_seed,
+                );
+                let got = fleet.hints[c].as_ref().expect("sensor hints");
+                for t_us in (0..end.as_micros() + 10_000).step_by(1_999) {
+                    let t = SimTime::from_micros(t_us);
+                    assert_eq!(got.query(t), want.query(t), "client {c} t {t_us} µs");
+                }
+            }
+
+            let plan = fleet.plan();
+            assert!(plan.tasks.len() >= 5, "{} spans", plan.tasks.len());
+            assert!(plan.tasks.iter().any(|t| t.from > SimTime::ZERO));
+            for task in &plan.tasks {
+                let sim = fleet.span_link(task, &plan.epoch_shares);
+                let got = sim.hint_stream().expect("hinted fleet");
+                let full = fleet.hints[task.client].as_ref().expect("sensor hints");
+                let span_us = task.to.saturating_since(task.from).as_micros();
+                // Grid points of the span and of the full stream, and
+                // points between them.
+                let off = task.from.as_micros() % 2_000;
+                let mut ts: Vec<u64> = (0..span_us).step_by(2_000).collect();
+                ts.extend((0..span_us).step_by(2_000).map(|t| t + 2_000 - off));
+                ts.extend((0..span_us).step_by(1_337));
+                for t_us in ts.into_iter().filter(|&t| t < span_us) {
+                    let t = SimTime::from_micros(t_us);
+                    assert_eq!(
+                        got.query(t),
+                        full.query(task.from + t.saturating_since(SimTime::ZERO)),
+                        "client {} span {} t {t_us} µs",
+                        task.client,
+                        task.span_idx
+                    );
+                }
+                // Past the span's end the window holds its last value; a
+                // span that runs to the end of the fleet agrees with the
+                // full stream everywhere.
+                for past_us in [span_us, span_us + 1, span_us + 5_000, span_us * 4] {
+                    let t = SimTime::from_micros(past_us);
+                    let want = if task.to >= end {
+                        full.query(task.from + t.saturating_since(SimTime::ZERO))
+                    } else {
+                        full.query(task.to - SimDuration::from_micros(1))
+                    };
+                    assert_eq!(got.query(t), want, "past the end of {task:?}");
+                }
+            }
+        }
     }
 
     #[test]
