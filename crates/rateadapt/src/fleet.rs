@@ -26,10 +26,11 @@ use crate::protocols::registry::ProtocolRegistry;
 use crate::scenario::{
     EnvironmentSpec, HintSpec, MotionSpec, ProtocolSpec, ScenarioError, ScenarioOutcome,
 };
+use crate::sim::is_zero;
 use crate::workload::Workload;
 use hint_cc::BackhaulSpec;
 use hint_sim::{SimDuration, SimTime};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
 
@@ -58,9 +59,8 @@ impl FleetBounds {
 /// One access point's placement and usable coverage radius.
 ///
 /// Serialized with `backhaul` sparse (omitted when `None`), so every
-/// pre-backhaul spec file and golden outcome stays byte-identical; see
-/// the hand-rolled impls below [`MediumSpec`].
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// pre-backhaul spec file and golden outcome stays byte-identical.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ApPlacement {
     /// Metres east of the origin.
     pub x_m: f64,
@@ -73,6 +73,7 @@ pub struct ApPlacement {
     /// the default — is an ideal wire, the pre-backhaul behaviour; only
     /// `Workload::Flow` clients ever cross a configured backhaul (see
     /// [`crate::sim::LinkSimulator::with_backhaul`]).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub backhaul: Option<BackhaulSpec>,
 }
 
@@ -262,120 +263,30 @@ fn default_medium_epoch() -> SimDuration {
 /// assert_eq!(shared.cw_min, 15);
 /// assert!(shared.validate().is_ok());
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MediumSpec {
     /// Contention mode by name (see [`CONTENTION_MODE_NAMES`]).
     pub contention: String,
     /// Backoff slot time (default 9 µs, 802.11a).
+    #[serde(default = "default_medium_slot")]
     pub slot: SimDuration,
     /// DCF interframe space paid before every backoff (default 34 µs).
+    #[serde(default = "default_medium_difs")]
     pub difs: SimDuration,
     /// Minimum contention window, slots (default 15).
+    #[serde(default = "default_medium_cw_min")]
     pub cw_min: u32,
     /// Maximum contention window, slots (default 1023).
+    #[serde(default = "default_medium_cw_max")]
     pub cw_max: u32,
     /// Scheduling epoch over which airtime is arbitrated (default 1 s).
+    #[serde(default = "default_medium_epoch")]
     pub epoch: SimDuration,
-}
-
-// The serde shim's derive does not support field attributes, and the
-// medium schema needs optional fields with defaults (so spec files can
-// say just `{"contention": "shared"}`, and so pre-contention files and
-// outcomes stay byte-identical). These four impls hand-roll what
-// `#[serde(default)]` / `#[serde(skip_serializing_if)]` would generate,
-// against the same `to_value`/`from_value` conventions the derive uses.
-
-/// Look up a required object field (derive-compatible error message).
-fn req<'v>(fields: &'v [(String, Value)], name: &str, ty: &str) -> Result<&'v Value, DeError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| DeError::msg(format!("missing field `{name}` in {ty}")))
-}
-
-/// Look up an optional object field, falling back to `default`.
-fn opt<T: Deserialize>(
-    fields: &[(String, Value)],
-    name: &str,
-    default: impl FnOnce() -> T,
-) -> Result<T, DeError> {
-    match fields.iter().find(|(k, _)| k == name) {
-        Some((_, v)) => T::from_value(v),
-        None => Ok(default()),
-    }
-}
-
-fn as_object<'v>(v: &'v Value, ty: &str) -> Result<&'v [(String, Value)], DeError> {
-    match v {
-        Value::Object(fields) => Ok(fields),
-        other => Err(DeError::expected(ty, other)),
-    }
-}
-
-impl Serialize for MediumSpec {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("contention".to_string(), self.contention.to_value()),
-            ("slot".to_string(), self.slot.to_value()),
-            ("difs".to_string(), self.difs.to_value()),
-            ("cw_min".to_string(), self.cw_min.to_value()),
-            ("cw_max".to_string(), self.cw_max.to_value()),
-            ("epoch".to_string(), self.epoch.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for MediumSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let fields = as_object(v, "MediumSpec")?;
-        Ok(MediumSpec {
-            contention: Deserialize::from_value(req(fields, "contention", "MediumSpec")?)?,
-            slot: opt(fields, "slot", default_medium_slot)?,
-            difs: opt(fields, "difs", default_medium_difs)?,
-            cw_min: opt(fields, "cw_min", default_medium_cw_min)?,
-            cw_max: opt(fields, "cw_max", default_medium_cw_max)?,
-            epoch: opt(fields, "epoch", default_medium_epoch)?,
-        })
-    }
 }
 
 impl Default for MediumSpec {
     fn default() -> Self {
         MediumSpec::isolated()
-    }
-}
-
-// ApPlacement's `backhaul` field is sparse for the same reason as the
-// optional FleetSpec fields: pre-backhaul spec files and goldens pin the
-// exact byte stream, so the key may only appear when a wire is actually
-// configured.
-impl Serialize for ApPlacement {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("x_m".to_string(), self.x_m.to_value()),
-            ("y_m".to_string(), self.y_m.to_value()),
-            ("coverage_m".to_string(), self.coverage_m.to_value()),
-        ];
-        if let Some(b) = &self.backhaul {
-            fields.push(("backhaul".to_string(), b.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for ApPlacement {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let fields = as_object(v, "ApPlacement")?;
-        Ok(ApPlacement {
-            x_m: Deserialize::from_value(req(fields, "x_m", "ApPlacement")?)?,
-            y_m: Deserialize::from_value(req(fields, "y_m", "ApPlacement")?)?,
-            coverage_m: Deserialize::from_value(req(fields, "coverage_m", "ApPlacement")?)?,
-            backhaul: match fields.iter().find(|(k, _)| k == "backhaul") {
-                Some((_, v)) => Some(Deserialize::from_value(v)?),
-                None => None,
-            },
-        })
     }
 }
 
@@ -557,22 +468,35 @@ pub const MAX_RANDOM_OUTAGES: u32 = 4096;
 ///     .unwrap_err()
 ///     .contains("ap_outages[0]"));
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FaultSpec {
     /// Hand-written AP failure windows.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub ap_outages: Vec<ApOutage>,
     /// Per-client sensor-failure windows.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub hint_dropouts: Vec<HintDropout>,
     /// Per-client radio-off windows.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub radio_blackouts: Vec<RadioBlackout>,
     /// Seeded outage storm, generated on top of `ap_outages`.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub random_outages: Option<RandomOutages>,
     /// When `true` (the default), hint policies fall back to legacy
     /// RSSI scoring while a client's hints are dropped out. `false`
     /// models a naive hint-trusting client that keeps acting on its
     /// stale pre-dropout reading for the whole window (the ablation
     /// `fig_resilience` compares against).
+    #[serde(default = "default_true", skip_serializing_if = "is_true")]
     pub hint_fallback: bool,
+}
+
+fn default_true() -> bool {
+    true
+}
+
+fn is_true(b: &bool) -> bool {
+    *b
 }
 
 impl Default for FaultSpec {
@@ -584,46 +508,6 @@ impl Default for FaultSpec {
             random_outages: None,
             hint_fallback: true,
         }
-    }
-}
-
-impl Serialize for FaultSpec {
-    fn to_value(&self) -> Value {
-        // Sparse on the wire: only non-default fields appear, so a
-        // minimal schedule reads as tersely as it was written.
-        let mut fields = Vec::new();
-        if !self.ap_outages.is_empty() {
-            fields.push(("ap_outages".to_string(), self.ap_outages.to_value()));
-        }
-        if !self.hint_dropouts.is_empty() {
-            fields.push(("hint_dropouts".to_string(), self.hint_dropouts.to_value()));
-        }
-        if !self.radio_blackouts.is_empty() {
-            fields.push((
-                "radio_blackouts".to_string(),
-                self.radio_blackouts.to_value(),
-            ));
-        }
-        if let Some(r) = &self.random_outages {
-            fields.push(("random_outages".to_string(), r.to_value()));
-        }
-        if !self.hint_fallback {
-            fields.push(("hint_fallback".to_string(), self.hint_fallback.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for FaultSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let f = as_object(v, "FaultSpec")?;
-        Ok(FaultSpec {
-            ap_outages: opt(f, "ap_outages", Vec::new)?,
-            hint_dropouts: opt(f, "hint_dropouts", Vec::new)?,
-            radio_blackouts: opt(f, "radio_blackouts", Vec::new)?,
-            random_outages: opt(f, "random_outages", || None)?,
-            hint_fallback: opt(f, "hint_fallback", || true)?,
-        })
     }
 }
 
@@ -771,7 +655,7 @@ pub fn normalize_windows(mut windows: Vec<(SimTime, SimTime)>) -> Vec<(SimTime, 
 /// let reparsed = FleetSpec::from_json(&spec.to_json_pretty()).unwrap();
 /// assert_eq!(reparsed, spec);
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FleetSpec {
     /// Shared channel environment (per-link SNR statistics; the fleet
     /// engine offsets the mean per link by AP distance).
@@ -798,11 +682,13 @@ pub struct FleetSpec {
     /// their AP's airtime. Optional in JSON (and skipped when default),
     /// so absent — as in every pre-contention spec file — means
     /// `isolated`, which reproduces the per-link engine byte-identically.
+    #[serde(default, skip_serializing_if = "MediumSpec::is_default")]
     pub medium: MediumSpec,
     /// Fault schedule: AP outages, hint dropouts, radio blackouts.
     /// Optional in JSON (and skipped when default), so absent — as in
     /// every pre-fault spec file — means a fault-free run, which
     /// reproduces the previous engine behaviour byte-identically.
+    #[serde(default, skip_serializing_if = "FaultSpec::is_default")]
     pub faults: FaultSpec,
     /// Link payload size, bytes.
     pub payload_bytes: u32,
@@ -827,51 +713,6 @@ impl Default for FleetSpec {
             faults: FaultSpec::default(),
             payload_bytes: 1000,
         }
-    }
-}
-
-impl Serialize for FleetSpec {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("environment".to_string(), self.environment.to_value()),
-            ("bounds".to_string(), self.bounds.to_value()),
-            ("aps".to_string(), self.aps.to_value()),
-            ("clients".to_string(), self.clients.to_value()),
-            ("duration".to_string(), self.duration.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("protocol".to_string(), self.protocol.to_value()),
-            ("hints".to_string(), self.hints.to_value()),
-            ("handoff".to_string(), self.handoff.to_value()),
-        ];
-        if !self.medium.is_default() {
-            fields.push(("medium".to_string(), self.medium.to_value()));
-        }
-        if !self.faults.is_default() {
-            fields.push(("faults".to_string(), self.faults.to_value()));
-        }
-        fields.push(("payload_bytes".to_string(), self.payload_bytes.to_value()));
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for FleetSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let f = as_object(v, "FleetSpec")?;
-        const TY: &str = "FleetSpec";
-        Ok(FleetSpec {
-            environment: Deserialize::from_value(req(f, "environment", TY)?)?,
-            bounds: Deserialize::from_value(req(f, "bounds", TY)?)?,
-            aps: Deserialize::from_value(req(f, "aps", TY)?)?,
-            clients: Deserialize::from_value(req(f, "clients", TY)?)?,
-            duration: Deserialize::from_value(req(f, "duration", TY)?)?,
-            seed: Deserialize::from_value(req(f, "seed", TY)?)?,
-            protocol: Deserialize::from_value(req(f, "protocol", TY)?)?,
-            hints: Deserialize::from_value(req(f, "hints", TY)?)?,
-            handoff: Deserialize::from_value(req(f, "handoff", TY)?)?,
-            medium: opt(f, "medium", MediumSpec::default)?,
-            faults: opt(f, "faults", FaultSpec::default)?,
-            payload_bytes: Deserialize::from_value(req(f, "payload_bytes", TY)?)?,
-        })
     }
 }
 
@@ -1239,7 +1080,7 @@ impl FleetBuilder {
 /// produced only by fault-injected runs; they serialize only when
 /// non-zero, so fault-free outcomes — including every pre-fault golden
 /// file — stay byte-identical.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FleetClientOutcome {
     /// Client index in the spec's `clients` list.
     pub client: usize,
@@ -1256,60 +1097,19 @@ pub struct FleetClientOutcome {
     pub outage: SimDuration,
     /// Time this client's radio was blacked out by the fault schedule,
     /// seconds (a subset of `outage`).
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub blackout_s: f64,
     /// Time the hint policies ran on legacy RSSI scoring because this
     /// client's hints were dropped out, seconds.
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub fallback_s: f64,
     /// Re-scans performed while unassociated under the exponential
     ///-backoff schedule fault-injected runs use.
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub scan_retries: u32,
     /// The client's aggregated link-level outcome across all its
     /// association spans.
     pub outcome: ScenarioOutcome,
-}
-
-impl Serialize for FleetClientOutcome {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("client".to_string(), self.client.to_value()),
-            ("aps_visited".to_string(), self.aps_visited.to_value()),
-            ("handoffs".to_string(), self.handoffs.to_value()),
-            (
-                "forced_handoffs".to_string(),
-                self.forced_handoffs.to_value(),
-            ),
-            ("outage".to_string(), self.outage.to_value()),
-        ];
-        if self.blackout_s != 0.0 {
-            fields.push(("blackout_s".to_string(), self.blackout_s.to_value()));
-        }
-        if self.fallback_s != 0.0 {
-            fields.push(("fallback_s".to_string(), self.fallback_s.to_value()));
-        }
-        if self.scan_retries != 0 {
-            fields.push(("scan_retries".to_string(), self.scan_retries.to_value()));
-        }
-        fields.push(("outcome".to_string(), self.outcome.to_value()));
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for FleetClientOutcome {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let f = as_object(v, "FleetClientOutcome")?;
-        const TY: &str = "FleetClientOutcome";
-        Ok(FleetClientOutcome {
-            client: Deserialize::from_value(req(f, "client", TY)?)?,
-            aps_visited: Deserialize::from_value(req(f, "aps_visited", TY)?)?,
-            handoffs: Deserialize::from_value(req(f, "handoffs", TY)?)?,
-            forced_handoffs: Deserialize::from_value(req(f, "forced_handoffs", TY)?)?,
-            outage: Deserialize::from_value(req(f, "outage", TY)?)?,
-            blackout_s: opt(f, "blackout_s", || 0.0)?,
-            fallback_s: opt(f, "fallback_s", || 0.0)?,
-            scan_retries: opt(f, "scan_retries", || 0)?,
-            outcome: Deserialize::from_value(req(f, "outcome", TY)?)?,
-        })
-    }
 }
 
 /// One AP's aggregate view of the run.
@@ -1318,7 +1118,7 @@ impl Deserialize for FleetClientOutcome {
 /// by shared-medium runs; they serialize only when non-zero, so isolated
 /// outcomes — including every pre-contention golden file — stay
 /// byte-identical.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FleetApStats {
     /// Total client-association time, seconds (sums across clients, so
     /// it can exceed the run duration).
@@ -1331,71 +1131,27 @@ pub struct FleetApStats {
     pub wasted_airtime_s: f64,
     /// Airtime the arbiter granted to frames on this AP's medium,
     /// seconds (shared contention only).
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub contended_busy_s: f64,
     /// Airtime destroyed by collisions on this AP's medium, seconds
     /// (shared contention only).
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub collision_s: f64,
     /// Collision events on this AP's medium (shared contention only).
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub collisions: u32,
     /// Time this AP was down under the fault schedule, seconds
     /// (fault-injected runs only; serialized only when non-zero).
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub down_s: f64,
     /// Clients this AP evicted when it failed (forced disassociations;
     /// fault-injected runs only, serialized only when non-zero).
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub evictions: u32,
 }
 
-impl Serialize for FleetApStats {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("association_s".to_string(), self.association_s.to_value()),
-            ("handoffs_in".to_string(), self.handoffs_in.to_value()),
-            (
-                "wasted_airtime_s".to_string(),
-                self.wasted_airtime_s.to_value(),
-            ),
-        ];
-        if self.contended_busy_s != 0.0 {
-            fields.push((
-                "contended_busy_s".to_string(),
-                self.contended_busy_s.to_value(),
-            ));
-        }
-        if self.collision_s != 0.0 {
-            fields.push(("collision_s".to_string(), self.collision_s.to_value()));
-        }
-        if self.collisions != 0 {
-            fields.push(("collisions".to_string(), self.collisions.to_value()));
-        }
-        if self.down_s != 0.0 {
-            fields.push(("down_s".to_string(), self.down_s.to_value()));
-        }
-        if self.evictions != 0 {
-            fields.push(("evictions".to_string(), self.evictions.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for FleetApStats {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let f = as_object(v, "FleetApStats")?;
-        const TY: &str = "FleetApStats";
-        Ok(FleetApStats {
-            association_s: Deserialize::from_value(req(f, "association_s", TY)?)?,
-            handoffs_in: Deserialize::from_value(req(f, "handoffs_in", TY)?)?,
-            wasted_airtime_s: Deserialize::from_value(req(f, "wasted_airtime_s", TY)?)?,
-            contended_busy_s: opt(f, "contended_busy_s", || 0.0)?,
-            collision_s: opt(f, "collision_s", || 0.0)?,
-            collisions: opt(f, "collisions", || 0)?,
-            down_s: opt(f, "down_s", || 0.0)?,
-            evictions: opt(f, "evictions", || 0)?,
-        })
-    }
-}
-
 /// The complete result of one fleet run.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FleetOutcome {
     /// Environment name the links were generated in.
     pub environment: String,
@@ -1406,6 +1162,7 @@ pub struct FleetOutcome {
     /// Canonical contention-mode name. Serialized only for shared-medium
     /// runs, so isolated outcomes (every pre-contention golden file)
     /// stay byte-identical; absent means `isolated`.
+    #[serde(default = "isolated_name", skip_serializing_if = "is_isolated")]
     pub contention: String,
     /// The fleet seed (provenance).
     pub seed: u64,
@@ -1424,55 +1181,12 @@ pub struct FleetOutcome {
     pub aggregate_goodput_mbps: f64,
 }
 
-impl Serialize for FleetOutcome {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("environment".to_string(), self.environment.to_value()),
-            ("protocol".to_string(), self.protocol.to_value()),
-            ("policy".to_string(), self.policy.to_value()),
-        ];
-        if self.contention != ContentionMode::Isolated.name() {
-            fields.push(("contention".to_string(), self.contention.to_value()));
-        }
-        fields.extend([
-            ("seed".to_string(), self.seed.to_value()),
-            ("clients".to_string(), self.clients.to_value()),
-            ("aps".to_string(), self.aps.to_value()),
-            ("total_handoffs".to_string(), self.total_handoffs.to_value()),
-            (
-                "forced_handoffs".to_string(),
-                self.forced_handoffs.to_value(),
-            ),
-            ("jain_fairness".to_string(), self.jain_fairness.to_value()),
-            (
-                "aggregate_goodput_mbps".to_string(),
-                self.aggregate_goodput_mbps.to_value(),
-            ),
-        ]);
-        Value::Object(fields)
-    }
+fn isolated_name() -> String {
+    ContentionMode::Isolated.name().to_string()
 }
 
-impl Deserialize for FleetOutcome {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let f = as_object(v, "FleetOutcome")?;
-        const TY: &str = "FleetOutcome";
-        Ok(FleetOutcome {
-            environment: Deserialize::from_value(req(f, "environment", TY)?)?,
-            protocol: Deserialize::from_value(req(f, "protocol", TY)?)?,
-            policy: Deserialize::from_value(req(f, "policy", TY)?)?,
-            contention: opt(f, "contention", || {
-                ContentionMode::Isolated.name().to_string()
-            })?,
-            seed: Deserialize::from_value(req(f, "seed", TY)?)?,
-            clients: Deserialize::from_value(req(f, "clients", TY)?)?,
-            aps: Deserialize::from_value(req(f, "aps", TY)?)?,
-            total_handoffs: Deserialize::from_value(req(f, "total_handoffs", TY)?)?,
-            forced_handoffs: Deserialize::from_value(req(f, "forced_handoffs", TY)?)?,
-            jain_fairness: Deserialize::from_value(req(f, "jain_fairness", TY)?)?,
-            aggregate_goodput_mbps: Deserialize::from_value(req(f, "aggregate_goodput_mbps", TY)?)?,
-        })
-    }
+fn is_isolated(contention: &str) -> bool {
+    contention == ContentionMode::Isolated.name()
 }
 
 impl FleetOutcome {
@@ -1535,6 +1249,7 @@ pub fn jain_index(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn walking_fleet() -> FleetBuilder {
         FleetSpec::builder()
@@ -1563,7 +1278,7 @@ mod tests {
 
     #[test]
     fn outcome_json_key_order_is_pinned() {
-        // The hand-rolled `to_value` emits keys in insertion order, and
+        // The derived `to_value` emits keys in declaration order, and
         // golden files + CI `cmp` gates depend on the byte sequence:
         // pin it so a refactor can't silently reorder the output.
         let isolated = FleetApStats {
@@ -2039,6 +1754,28 @@ mod tests {
         let json = naive.to_json();
         assert!(json.contains("\"hint_fallback\":false"), "{json}");
         assert_eq!(FleetSpec::from_json(&json).expect("parses"), naive);
+    }
+
+    #[test]
+    fn null_ap_backhaul_parses_as_no_backhaul() {
+        let spec = walking_fleet().into_spec();
+        let json = spec
+            .to_json()
+            .replace("\"coverage_m\":", "\"backhaul\":null,\"coverage_m\":");
+        assert_eq!(json.matches("\"backhaul\":null").count(), 2, "{json}");
+        let parsed = FleetSpec::from_json(&json).expect("null backhaul parses");
+        assert!(parsed.aps.iter().all(|ap| ap.backhaul.is_none()));
+        assert_eq!(parsed, spec);
+    }
+
+    #[test]
+    fn null_medium_and_faults_are_rejected_naming_the_type() {
+        let json = walking_fleet().into_spec().to_json();
+        for (key, ty) in [("medium", "MediumSpec"), ("faults", "FaultSpec")] {
+            let with_null = json.replacen('{', &format!("{{\"{key}\":null,"), 1);
+            let msg = FleetSpec::from_json(&with_null).unwrap_err().to_string();
+            assert!(msg.contains(&format!("expected {ty}, found null")), "{msg}");
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ use crate::workload::Workload;
 use hint_channel::{Environment, Trace};
 use hint_sensors::motion::{MotionProfile, MotionSegment};
 use hint_sim::SimDuration;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -315,7 +315,7 @@ impl Default for ProtocolSpec {
 /// All durations serialize as **integer microseconds** (the workspace's
 /// native clock). See `EXPERIMENTS.md` for the JSON schema and the
 /// `scenario_run` CLI that executes spec files.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Channel environment.
     pub environment: EnvironmentSpec,
@@ -338,60 +338,8 @@ pub struct ScenarioSpec {
     /// the default — is an ideal wire, the pre-backhaul behaviour; only
     /// a [`Workload::Flow`] ever crosses a configured backhaul (see
     /// [`LinkSimulator::with_backhaul`]).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub backhaul: Option<hint_cc::BackhaulSpec>,
-}
-
-// Hand-rolled for the same reason as `MediumSpec` (see `crate::fleet`):
-// the serde shim's derive cannot skip a `None` field, and `backhaul`
-// must be sparse so every pre-backhaul spec file and golden stays
-// byte-identical.
-impl Serialize for ScenarioSpec {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("environment".to_string(), self.environment.to_value()),
-            ("motion".to_string(), self.motion.to_value()),
-            ("duration".to_string(), self.duration.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("workload".to_string(), self.workload.to_value()),
-            ("protocol".to_string(), self.protocol.to_value()),
-            ("hints".to_string(), self.hints.to_value()),
-            ("payload_bytes".to_string(), self.payload_bytes.to_value()),
-        ];
-        if let Some(b) = &self.backhaul {
-            fields.push(("backhaul".to_string(), b.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for ScenarioSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let fields = match v {
-            Value::Object(fields) => fields,
-            other => return Err(DeError::expected("ScenarioSpec", other)),
-        };
-        let req = |name: &str| -> Result<&Value, DeError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| DeError::msg(format!("missing field `{name}` in ScenarioSpec")))
-        };
-        Ok(ScenarioSpec {
-            environment: Deserialize::from_value(req("environment")?)?,
-            motion: Deserialize::from_value(req("motion")?)?,
-            duration: Deserialize::from_value(req("duration")?)?,
-            seed: Deserialize::from_value(req("seed")?)?,
-            workload: Deserialize::from_value(req("workload")?)?,
-            protocol: Deserialize::from_value(req("protocol")?)?,
-            hints: Deserialize::from_value(req("hints")?)?,
-            payload_bytes: Deserialize::from_value(req("payload_bytes")?)?,
-            backhaul: match fields.iter().find(|(k, _)| k == "backhaul") {
-                Some((_, v)) => Some(Deserialize::from_value(v)?),
-                None => None,
-            },
-        })
-    }
 }
 
 impl Default for ScenarioSpec {

@@ -23,7 +23,7 @@ use hint_cc::{BackhaulSpec, CcaRegistry, DropTailQueue, RttEstimator};
 use hint_channel::Trace;
 use hint_mac::{BitRate, MacTiming};
 use hint_sim::{RngStream, SimDuration, SimTime};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -41,7 +41,7 @@ pub const MIN_AIRTIME_SHARE: f64 = 1.0 / 64.0;
 ///
 /// Serializable so scenario outcomes are storable artifacts (see
 /// [`crate::scenario::ScenarioOutcome`]).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SimResult {
     /// Packets handed to the link (TCP: segments; UDP: datagrams).
     pub packets_sent: u64,
@@ -62,69 +62,14 @@ pub struct SimResult {
     /// zero without a backhaul (and for the open-loop workloads, which
     /// never enter the wire) — and omitted from the serialized form in
     /// that case, so every pre-backhaul outcome stays byte-identical.
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub backhaul_dropped: u64,
 }
 
-// The serde shim's derive has no `#[serde(skip_serializing_if)]` /
-// `#[serde(default)]`, and `backhaul_dropped` must be sparse: golden
-// outcome files predating the backhaul pin the exact byte stream, so the
-// field may only appear when a backhaul actually dropped packets. These
-// impls hand-roll the derive's field order plus that one sparse tail
-// field.
-impl Serialize for SimResult {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("packets_sent".to_string(), self.packets_sent.to_value()),
-            (
-                "packets_delivered".to_string(),
-                self.packets_delivered.to_value(),
-            ),
-            ("attempts".to_string(), self.attempts.to_value()),
-            ("goodput_bps".to_string(), self.goodput_bps.to_value()),
-            ("duration".to_string(), self.duration.to_value()),
-            ("rate_usage".to_string(), self.rate_usage.to_value()),
-            (
-                "delivered_per_second".to_string(),
-                self.delivered_per_second.to_value(),
-            ),
-        ];
-        if self.backhaul_dropped != 0 {
-            fields.push((
-                "backhaul_dropped".to_string(),
-                self.backhaul_dropped.to_value(),
-            ));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for SimResult {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let fields = match v {
-            Value::Object(fields) => fields,
-            other => return Err(DeError::expected("SimResult", other)),
-        };
-        let req = |name: &str| -> Result<&Value, DeError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| DeError::msg(format!("missing field `{name}` in SimResult")))
-        };
-        Ok(SimResult {
-            packets_sent: Deserialize::from_value(req("packets_sent")?)?,
-            packets_delivered: Deserialize::from_value(req("packets_delivered")?)?,
-            attempts: Deserialize::from_value(req("attempts")?)?,
-            goodput_bps: Deserialize::from_value(req("goodput_bps")?)?,
-            duration: Deserialize::from_value(req("duration")?)?,
-            rate_usage: Deserialize::from_value(req("rate_usage")?)?,
-            delivered_per_second: Deserialize::from_value(req("delivered_per_second")?)?,
-            backhaul_dropped: match fields.iter().find(|(k, _)| k == "backhaul_dropped") {
-                Some((_, v)) => Deserialize::from_value(v)?,
-                None => 0,
-            },
-        })
-    }
+/// `skip_serializing_if` predicate for sparse counters: true at the
+/// type's default (zero).
+pub(crate) fn is_zero<T: Default + PartialEq>(v: &T) -> bool {
+    *v == T::default()
 }
 
 impl SimResult {

@@ -221,6 +221,16 @@ fn custom_environment_spec_runs_like_its_preset() {
 }
 
 #[test]
+fn null_backhaul_parses_as_no_backhaul() {
+    // `"backhaul": null` means "no wire", exactly like a missing key.
+    let spec = ScenarioSpec::default();
+    let with_null = spec.to_json().replacen('{', "{\"backhaul\":null,", 1);
+    let parsed = ScenarioSpec::from_json(&with_null).expect("null backhaul parses");
+    assert_eq!(parsed.backhaul, None);
+    assert_eq!(parsed, spec);
+}
+
+#[test]
 fn fleet_spec_round_trips_every_field() {
     use hint_rateadapt::fleet::FleetSpec;
     let spec = FleetSpec::builder()

@@ -3,8 +3,8 @@
 //! The build environment has no access to crates.io, so the workspace
 //! vendors a minimal serialization framework that is drop-in compatible
 //! with the subset of serde the code touches: `#[derive(Serialize,
-//! Deserialize)]` on attribute-free structs and enums, serialized through
-//! JSON by the sibling `serde_json` shim.
+//! Deserialize)]` on structs and enums, serialized through JSON by the
+//! sibling `serde_json` shim.
 //!
 //! Unlike real serde, the data model here is not format-generic: values
 //! serialize into a concrete JSON [`Value`] tree. That is exactly what the
@@ -19,6 +19,50 @@
 //! * unit struct → `null`; unit enum variant → the variant name as a string
 //! * newtype enum variant → `{"Variant": value}`
 //! * struct enum variant → `{"Variant": {fields…}}`
+//!
+//! Named struct fields take three options, spelled as in real serde:
+//! `default` and `default = "path"` fill in a missing key, and
+//! `skip_serializing_if = "path"` omits the key when the predicate holds.
+//!
+//! ```
+//! use serde::{Deserialize, Serialize, Value};
+//!
+//! fn is_zero(v: &u32) -> bool {
+//!     *v == 0
+//! }
+//!
+//! #[derive(Debug, PartialEq, Serialize, Deserialize)]
+//! struct Counters {
+//!     name: String,
+//!     #[serde(default, skip_serializing_if = "is_zero")]
+//!     drops: u32,
+//! }
+//!
+//! let c = Counters { name: "ap0".into(), drops: 0 };
+//! let v = c.to_value();
+//! assert_eq!(v, Value::Object(vec![("name".into(), Value::Str("ap0".into()))]));
+//! assert_eq!(Counters::from_value(&v).unwrap(), c);
+//! ```
+//!
+//! Any other option is a compile error rather than silently ignored:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Renamed {
+//!     #[serde(rename = "x")]
+//!     a: u32,
+//! }
+//! ```
+//!
+//! So is a `#[serde]` anywhere but on a named struct field:
+//!
+//! ```compile_fail
+//! #[derive(serde::Deserialize)]
+//! enum Mode {
+//!     #[serde(default)]
+//!     Off,
+//! }
+//! ```
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -242,11 +286,13 @@ pub mod __private {
         name: &str,
         ty: &str,
     ) -> Result<&'v Value, DeError> {
-        fields
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
+        optional_field(fields, name)
             .ok_or_else(|| DeError::msg(format!("missing field `{name}` in {ty}")))
+    }
+
+    /// Look up a `#[serde(default)]` object field during deserialization.
+    pub fn optional_field<'v>(fields: &'v [(String, Value)], name: &str) -> Option<&'v Value> {
+        fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 
     /// View a value as an object's field list, or fail with context.

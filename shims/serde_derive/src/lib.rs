@@ -12,16 +12,25 @@
 //! * enums whose variants are unit (with optional explicit discriminants),
 //!   newtype/tuple, or struct-like
 //!
-//! Generic parameters, `#[serde(...)]` attributes, and unions are not
-//! supported and produce a `compile_error!` naming this crate, so a future
-//! reader hits a signpost instead of a confusing expansion failure.
+//! Named struct fields accept three `#[serde(...)]` options, spelled as in
+//! real serde:
+//!
+//! * `default`: a missing key deserializes to `Default::default()`
+//! * `default = "path"`: a missing key deserializes to `path()`
+//! * `skip_serializing_if = "path"`: the key is omitted when
+//!   `path(&self.field)` is true; the other keys keep declaration order
+//!
+//! Any other option, a `#[serde]` anywhere else (container, variant, tuple
+//! or variant field), generic parameters, and unions produce a
+//! `compile_error!` naming this crate, so a future reader hits a signpost
+//! instead of a confusing expansion failure.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// What we learned about the item under derive.
 enum Item {
-    /// `struct S { a: T, b: U }` — field names in declaration order.
-    NamedStruct { name: String, fields: Vec<String> },
+    /// `struct S { a: T, b: U }` — fields in declaration order.
+    NamedStruct { name: String, fields: Vec<Field> },
     /// `struct S(T, U);` — number of unnamed fields.
     TupleStruct { name: String, arity: usize },
     /// `struct S;`
@@ -31,6 +40,16 @@ enum Item {
         name: String,
         variants: Vec<Variant>,
     },
+}
+
+/// One named struct field and its `#[serde(...)]` options.
+struct Field {
+    name: String,
+    /// Expression a missing key deserializes to; `None` makes the key
+    /// required.
+    default: Option<String>,
+    /// Predicate path: the key is not serialized when it returns true.
+    skip_serializing_if: Option<String>,
 }
 
 struct Variant {
@@ -45,13 +64,13 @@ enum VariantShape {
 }
 
 /// Derive `serde::Serialize` (shim edition).
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, gen_serialize)
 }
 
 /// Derive `serde::Deserialize` (shim edition).
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, gen_deserialize)
 }
@@ -73,7 +92,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
 
-    skip_attributes(&tokens, &mut i);
+    reject_serde(&take_attributes(&tokens, &mut i), "a container")?;
     skip_visibility(&tokens, &mut i);
 
     let kind = match ident_at(&tokens, i) {
@@ -100,7 +119,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
             if kind == "struct" {
                 Ok(Item::NamedStruct {
                     name,
-                    fields: parse_named_fields(&body)?,
+                    fields: parse_named_fields(&body, true)?,
                 })
             } else {
                 Ok(Item::Enum {
@@ -116,7 +135,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
             let body: Vec<TokenTree> = g.stream().into_iter().collect();
             Ok(Item::TupleStruct {
                 name,
-                arity: count_tuple_fields(&body),
+                arity: count_tuple_fields(&body)?,
             })
         }
         Some(TokenTree::Punct(p)) if p.as_char() == ';' && kind == "struct" => {
@@ -133,8 +152,11 @@ fn ident_at(tokens: &[TokenTree], i: usize) -> Option<String> {
     }
 }
 
-/// Skip `#[...]` (and `#![...]`) attribute groups.
-fn skip_attributes(tokens: &[TokenTree], i: &mut usize) {
+/// Skip `#[...]` (and `#![...]`) attribute groups, returning what follows
+/// the `serde` of each `#[serde...]` among them (doc comments and other
+/// attributes are ignored).
+fn take_attributes(tokens: &[TokenTree], i: &mut usize) -> Vec<Vec<TokenTree>> {
+    let mut serde = Vec::new();
     loop {
         match tokens.get(*i) {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
@@ -146,15 +168,83 @@ fn skip_attributes(tokens: &[TokenTree], i: &mut usize) {
                 }
                 if let Some(TokenTree::Group(g)) = tokens.get(*i) {
                     if g.delimiter() == Delimiter::Bracket {
+                        let mut attr = g.stream().into_iter();
+                        if matches!(attr.next(), Some(TokenTree::Ident(id)) if id.to_string() == "serde")
+                        {
+                            serde.push(attr.collect());
+                        }
                         *i += 1;
                         continue;
                     }
                 }
-                return;
+                return serde;
             }
-            _ => return,
+            _ => return serde,
         }
     }
+}
+
+/// Fail if any `#[serde]` attribute sits where the shim takes none.
+fn reject_serde(attrs: &[Vec<TokenTree>], place: &str) -> Result<(), String> {
+    if attrs.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "serde shim derive: `#[serde(...)]` on {place} is not supported; only named \
+             struct fields take options (see shims/serde_derive)"
+        ))
+    }
+}
+
+/// Apply one field's `#[serde(...)]` options: `default`,
+/// `default = "path"` and `skip_serializing_if = "path"`.
+fn apply_field_options(field: &mut Field, attr: &[TokenTree]) -> Result<(), String> {
+    // The attribute's text without whitespace: `(default,skip_serializing_if="p")`.
+    let raw: String = attr.iter().map(|t| t.to_string()).collect();
+    let text: String = raw.split_whitespace().collect();
+    let name = &field.name;
+    let unsupported = |what: &str| {
+        format!(
+            "serde shim derive: unsupported serde option `{what}` on field `{name}`; only \
+             `default`, `default = \"path\"` and `skip_serializing_if = \"path\"` are \
+             supported (see shims/serde_derive)"
+        )
+    };
+    let options = text
+        .strip_prefix('(')
+        .and_then(|t| t.strip_suffix(')'))
+        .ok_or_else(|| unsupported(&format!("serde{text}")))?;
+    for option in options.split(',').filter(|o| !o.is_empty()) {
+        let path = |lit| string_path(lit).ok_or_else(|| unsupported(option));
+        let (slot, code) = match option.split_once('=') {
+            None if option == "default" => (
+                &mut field.default,
+                "::std::default::Default::default()".to_string(),
+            ),
+            Some(("default", lit)) => (&mut field.default, format!("{}()", path(lit)?)),
+            Some(("skip_serializing_if", lit)) => {
+                (&mut field.skip_serializing_if, path(lit)?.to_string())
+            }
+            _ => return Err(unsupported(option)),
+        };
+        if slot.replace(code).is_some() {
+            return Err(format!(
+                "serde shim derive: duplicate serde option `{option}` on field `{name}` \
+                 (see shims/serde_derive)"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The path inside a `"path"` string literal, if it looks like one.
+fn string_path(lit: &str) -> Option<&str> {
+    let path = lit.strip_prefix('"')?.strip_suffix('"')?;
+    let ok = !path.is_empty()
+        && path
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':');
+    ok.then_some(path)
 }
 
 /// Skip `pub`, `pub(crate)`, `pub(in ...)`.
@@ -188,11 +278,16 @@ fn skip_to_comma(tokens: &[TokenTree], i: &mut usize) {
     }
 }
 
-fn parse_named_fields(tokens: &[TokenTree]) -> Result<Vec<String>, String> {
+/// Parse `name: Type` fields. `options` says whether they may carry
+/// `#[serde(...)]` (struct fields) or not (enum variant fields).
+fn parse_named_fields(tokens: &[TokenTree], options: bool) -> Result<Vec<Field>, String> {
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        skip_attributes(tokens, &mut i);
+        let attrs = take_attributes(tokens, &mut i);
+        if !options {
+            reject_serde(&attrs, "an enum variant field")?;
+        }
         if i >= tokens.len() {
             break;
         }
@@ -212,19 +307,24 @@ fn parse_named_fields(tokens: &[TokenTree]) -> Result<Vec<String>, String> {
         }
         skip_to_comma(tokens, &mut i);
         i += 1; // past the comma (or end)
-        fields.push(name);
+        let mut field = Field {
+            name,
+            default: None,
+            skip_serializing_if: None,
+        };
+        for attr in &attrs {
+            apply_field_options(&mut field, attr)?;
+        }
+        fields.push(field);
     }
     Ok(fields)
 }
 
-fn count_tuple_fields(tokens: &[TokenTree]) -> usize {
-    if tokens.is_empty() {
-        return 0;
-    }
+fn count_tuple_fields(tokens: &[TokenTree]) -> Result<usize, String> {
     let mut n = 0;
     let mut i = 0;
     while i < tokens.len() {
-        skip_attributes(tokens, &mut i);
+        reject_serde(&take_attributes(tokens, &mut i), "a tuple field")?;
         skip_visibility(tokens, &mut i);
         if i >= tokens.len() {
             break; // trailing comma
@@ -233,14 +333,14 @@ fn count_tuple_fields(tokens: &[TokenTree]) -> usize {
         i += 1;
         n += 1;
     }
-    n
+    Ok(n)
 }
 
 fn parse_variants(tokens: &[TokenTree]) -> Result<Vec<Variant>, String> {
     let mut variants = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        skip_attributes(tokens, &mut i);
+        reject_serde(&take_attributes(tokens, &mut i), "an enum variant")?;
         if i >= tokens.len() {
             break;
         }
@@ -257,12 +357,13 @@ fn parse_variants(tokens: &[TokenTree]) -> Result<Vec<Variant>, String> {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 let body: Vec<TokenTree> = g.stream().into_iter().collect();
                 i += 1;
-                VariantShape::Tuple(count_tuple_fields(&body))
+                VariantShape::Tuple(count_tuple_fields(&body)?)
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 let body: Vec<TokenTree> = g.stream().into_iter().collect();
                 i += 1;
-                VariantShape::Named(parse_named_fields(&body)?)
+                let fields = parse_named_fields(&body, false)?;
+                VariantShape::Named(fields.into_iter().map(|f| f.name).collect())
             }
             _ => VariantShape::Unit,
         };
@@ -294,20 +395,28 @@ fn parse_variants(tokens: &[TokenTree]) -> Result<Vec<Variant>, String> {
 fn gen_serialize(item: &Item) -> String {
     let (name, body) = match item {
         Item::NamedStruct { name, fields } => {
-            let pairs = fields
+            let pushes = fields
                 .iter()
                 .map(|f| {
-                    format!(
-                        "(::std::string::String::from({f:?}), \
-                         ::serde::Serialize::to_value(&self.{f}))"
-                    )
+                    let n = &f.name;
+                    let push = format!(
+                        "__fields.push((::std::string::String::from({n:?}), \
+                         ::serde::Serialize::to_value(&self.{n})));"
+                    );
+                    match &f.skip_serializing_if {
+                        Some(skip) => format!("if !{skip}(&self.{n}) {{ {push} }}"),
+                        None => push,
+                    }
                 })
                 .collect::<Vec<_>>()
-                .join(", ");
-            (
-                name,
-                format!("::serde::Value::Object(::std::vec![{pairs}])"),
-            )
+                .join("\n");
+            let body = format!(
+                "let mut __fields = ::std::vec::Vec::with_capacity({});\n\
+                 {pushes}\n\
+                 ::serde::Value::Object(__fields)",
+                fields.len()
+            );
+            (name, body)
         }
         Item::TupleStruct { name, arity: 1 } => {
             (name, "::serde::Serialize::to_value(&self.0)".to_string())
@@ -388,10 +497,20 @@ fn gen_deserialize(item: &Item) -> String {
             let inits = fields
                 .iter()
                 .map(|f| {
-                    format!(
-                        "{f}: ::serde::Deserialize::from_value(\
-                         ::serde::__private::field(__fields, {f:?}, {name:?})?)?,"
-                    )
+                    let n = &f.name;
+                    match &f.default {
+                        None => format!(
+                            "{n}: ::serde::Deserialize::from_value(\
+                             ::serde::__private::field(__fields, {n:?}, {name:?})?)?,"
+                        ),
+                        Some(default) => format!(
+                            "{n}: match ::serde::__private::optional_field(__fields, {n:?}) {{\n\
+                                 ::std::option::Option::Some(__v) => \
+                                     ::serde::Deserialize::from_value(__v)?,\n\
+                                 ::std::option::Option::None => {default},\n\
+                             }},"
+                        ),
+                    }
                 })
                 .collect::<Vec<_>>()
                 .join("\n");

@@ -4,8 +4,8 @@
 //! The value model, compact serializer, and parser live in the sibling
 //! `serde` shim (`serde::Value`); this crate provides the familiar
 //! `serde_json` entry points over them. Output is byte-compatible with real
-//! serde_json for the types this workspace serializes (attribute-free
-//! structs and enums over integers, floats, bools, strings, vectors).
+//! serde_json for the types this workspace serializes (derived structs
+//! and enums over integers, floats, bools, strings, vectors).
 
 use std::fmt;
 
