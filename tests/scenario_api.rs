@@ -17,6 +17,15 @@ fn spec_path(name: &str) -> PathBuf {
         .join(name)
 }
 
+/// The pinned outcome bytes for a single-link spec (regenerated only by
+/// `cargo test -p hint-bench --test single_link_determinism -- --ignored`).
+fn golden(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("crates/bench/tests/golden")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
 #[test]
 fn mixed_office_tcp_spec_matches_hand_coded_builder_run() {
     let spec = ScenarioSpec::load(&spec_path("mixed_office_tcp.json")).expect("spec loads");
@@ -41,6 +50,10 @@ fn mixed_office_tcp_spec_matches_hand_coded_builder_run() {
     // series — the full SimResult.
     assert_eq!(from_file.result, hand_coded.result);
     assert!(from_file.result.goodput_bps > 0.0);
+    assert!(
+        from_file.to_json_pretty() + "\n" == golden("mixed_office_tcp_outcome.json"),
+        "open-loop TCP outcome diverged from its golden"
+    );
 }
 
 #[test]
@@ -65,6 +78,10 @@ fn vehicular_udp_spec_matches_hand_coded_builder_run() {
 
     assert_eq!(from_file.result, hand_coded.result);
     assert_eq!(from_file.environment, "vehicular");
+    assert!(
+        from_file.to_json_pretty() + "\n" == golden("vehicular_udp_outcome.json"),
+        "UDP outcome diverged from its golden"
+    );
 }
 
 #[test]

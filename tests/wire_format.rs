@@ -33,7 +33,10 @@ fn is_fleet(json: &str) -> bool {
 #[test]
 fn every_golden_outcome_reserializes_byte_identically() {
     let goldens = json_files("crates/bench/tests/golden");
-    assert!(goldens.len() >= 6, "expected the six goldens: {goldens:?}");
+    assert!(
+        goldens.len() >= 8,
+        "expected the eight goldens: {goldens:?}"
+    );
     let mut all = String::new();
     for path in goldens {
         let text = fs::read_to_string(&path).expect("golden reads");
