@@ -1,6 +1,6 @@
 //! # hint-cc — closed-loop flow layer
 //!
-//! The repo's original traffic models are open-loop: `run_tcp` is a
+//! The repo's original traffic models are open-loop: `Workload::Tcp` is a
 //! window heuristic that never sees a queue, and the wireless hop is the
 //! only place a packet can be delayed or lost. This crate supplies the
 //! pieces of a *closed-loop* flow — the style of ns-2 and FlowForge's

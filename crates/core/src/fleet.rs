@@ -70,6 +70,7 @@ use hint_rateadapt::fleet::{
 };
 use hint_rateadapt::protocols::registry::{AdapterFactory, ProtocolRegistry};
 use hint_rateadapt::scenario::{HintSpec, ScenarioError, ScenarioOutcome, HINT_SEED_MASK};
+use hint_rateadapt::sim::goodput_bps;
 use hint_rateadapt::{HintStream, LinkSimulator, SimResult, TraceSource, Workload};
 use hint_sensors::gps::Position;
 use hint_sensors::motion::{MotionProfile, MotionSegment};
@@ -1156,18 +1157,7 @@ impl FleetScenario {
 
         // Per-client streaming accumulators: O(clients) memory however
         // many spans the run produced.
-        let mut merged: Vec<SimResult> = (0..n_clients)
-            .map(|_| SimResult {
-                packets_sent: 0,
-                packets_delivered: 0,
-                attempts: 0,
-                goodput_bps: 0.0,
-                duration,
-                rate_usage: [0; BitRate::COUNT],
-                delivered_per_second: vec![0; duration.as_secs_f64().ceil() as usize],
-                backhaul_dropped: 0,
-            })
-            .collect();
+        let mut merged = vec![SimResult::empty(duration); n_clients];
 
         let workers = jobs.min(tasks.len().max(1));
         if workers <= 1 {
@@ -1209,9 +1199,10 @@ impl FleetScenario {
 
         let mut client_outcomes = Vec::with_capacity(n_clients);
         for ((c, run), mut merged) in runs.iter().enumerate().zip(merged) {
-            merged.goodput_bps =
-                merged.packets_delivered as f64 * f64::from(self.spec.payload_bytes) * 8.0
-                    / duration.as_secs_f64();
+            merged.goodput_bps = goodput_bps(
+                merged.packets_delivered * u64::from(self.spec.payload_bytes),
+                duration,
+            );
             client_outcomes.push(FleetClientOutcome {
                 client: c,
                 aps_visited: run.aps_visited.clone(),

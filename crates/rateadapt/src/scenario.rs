@@ -1024,7 +1024,7 @@ mod tests {
     #[test]
     fn degenerate_tcp_workload_fails_validation_not_the_run() {
         // The historical hang: this spec deserialized fine and then spun
-        // run_tcp forever. It must now be a validation error.
+        // the open-loop TCP run forever. It must now be a validation error.
         use crate::workload::TcpConfig;
         let spec = ScenarioBuilder::new()
             .workload(Workload::Tcp(TcpConfig {

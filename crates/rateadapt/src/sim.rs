@@ -25,7 +25,6 @@ use hint_mac::{BitRate, MacTiming};
 use hint_sim::{RngStream, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::collections::VecDeque;
 
 /// Standard deviation of per-packet SNR measurement noise, dB.
@@ -72,7 +71,31 @@ pub(crate) fn is_zero<T: Default + PartialEq>(v: &T) -> bool {
     *v == T::default()
 }
 
+/// Delivered payload bits per second of `duration`.
+///
+/// The one goodput formula: a single run divides its delivered bytes by
+/// the trace duration, and a fleet client divides the bytes of its
+/// merged spans by the fleet duration.
+pub fn goodput_bps(delivered_bytes: u64, duration: SimDuration) -> f64 {
+    delivered_bytes as f64 * 8.0 / duration.as_secs_f64()
+}
+
 impl SimResult {
+    /// The zero tally over `duration`: nothing sent, and one empty
+    /// per-second bucket per started second.
+    pub fn empty(duration: SimDuration) -> Self {
+        SimResult {
+            packets_sent: 0,
+            packets_delivered: 0,
+            attempts: 0,
+            goodput_bps: 0.0,
+            duration,
+            rate_usage: [0; BitRate::COUNT],
+            delivered_per_second: vec![0; duration.as_secs_f64().ceil() as usize],
+            backhaul_dropped: 0,
+        }
+    }
+
     /// Goodput in Mbit/s.
     pub fn goodput_mbps(&self) -> f64 {
         self.goodput_bps / 1e6
@@ -106,10 +129,6 @@ pub struct LinkSimulator<'a> {
     /// in (rate, payload), and a 10 s trace makes tens of thousands of
     /// attempts).
     exchange_airtimes: [SimDuration; BitRate::COUNT],
-    /// Per-packet independent noise-loss draws (see [`Trace::noise_loss`]):
-    /// noise events are shorter than a 5 ms slot, so they are drawn here,
-    /// per packet, rather than baked into slot fates.
-    noise_rng: RefCell<RngStream>,
     /// Per-second airtime shares from a shared-medium arbiter (see
     /// [`LinkSimulator::with_airtime_shares`]); `None` — the default —
     /// is the uncontended sender, byte-identical to the pre-contention
@@ -136,16 +155,12 @@ impl<'a> LinkSimulator<'a> {
 
     fn over(trace: Cow<'a, Trace>) -> Self {
         let timing = MacTiming::ieee80211a();
-        // Placeholder state only: run() re-derives this stream from the
-        // trace seed on every call, so each run is independent.
-        let noise_rng = RefCell::new(RngStream::new(trace.seed).derive("link-noise"));
         LinkSimulator {
             trace,
             exchange_airtimes: Self::airtime_table(&timing, 1000),
             timing,
             payload_bytes: 1000,
             hints: None,
-            noise_rng,
             airtime_shares: None,
             backhaul: None,
         }
@@ -269,12 +284,12 @@ impl<'a> LinkSimulator<'a> {
         workload: &Workload,
         rec: Option<&mut Vec<PacketRecord>>,
     ) -> SimResult {
-        *self.noise_rng.borrow_mut() = RngStream::new(self.trace.seed).derive("link-noise");
+        let mut run = LinkRun::new(self, adapter, rec);
         match workload {
-            Workload::Udp => self.run_udp(adapter, rec),
-            Workload::Tcp(cfg) => self.run_tcp(adapter, *cfg, rec),
-            Workload::Flow(cfg) => self.run_flow(adapter, cfg, rec),
-            Workload::Trace(TraceSource::Inline(t)) => self.run_trace(adapter, t, rec),
+            Workload::Udp => run.udp(),
+            Workload::Tcp(cfg) => run.tcp(*cfg),
+            Workload::Flow(cfg) => run.flow(cfg),
+            Workload::Trace(TraceSource::Inline(t)) => run.replay(t),
             Workload::Trace(TraceSource::Path(p)) => {
                 // Programmer error, not a spec error: every spec path
                 // (scenario and fleet compilation) resolves trace files
@@ -284,6 +299,45 @@ impl<'a> LinkSimulator<'a> {
                      call Workload::resolve() first (spec compilation does)"
                 );
             }
+        }
+        run.finish()
+    }
+}
+
+/// One run of one workload over a [`LinkSimulator`]: the per-packet
+/// noise stream, the adapter under test and the tally every workload
+/// accounts into. The workloads differ only in *when* they offer a
+/// packet and how many link tries it gets; everything from the rate
+/// pick to the per-second bucket is shared.
+struct LinkRun<'r> {
+    sim: &'r LinkSimulator<'r>,
+    adapter: &'r mut dyn RateAdapter,
+    /// Per-packet independent noise-loss draws (see [`Trace::noise_loss`]):
+    /// noise events are shorter than a 5 ms slot, so they are drawn here,
+    /// per packet, rather than baked into slot fates. Re-derived from the
+    /// trace seed for every run, so each run is an independent experiment.
+    noise: RngStream,
+    rec: Option<&'r mut Vec<PacketRecord>>,
+    end: SimTime,
+    tally: SimResult,
+    delivered_bytes: u64,
+}
+
+impl<'r> LinkRun<'r> {
+    fn new(
+        sim: &'r LinkSimulator<'r>,
+        adapter: &'r mut dyn RateAdapter,
+        rec: Option<&'r mut Vec<PacketRecord>>,
+    ) -> Self {
+        let duration = sim.trace.duration();
+        LinkRun {
+            sim,
+            adapter,
+            noise: RngStream::new(sim.trace.seed).derive("link-noise"),
+            rec,
+            end: SimTime::ZERO + duration,
+            tally: SimResult::empty(duration),
+            delivered_bytes: 0,
         }
     }
 
@@ -297,64 +351,47 @@ impl<'a> LinkSimulator<'a> {
     /// might not hold for all symbols in the packet") — at vehicular
     /// speeds a preamble-based SNR estimate is close to useless, which is
     /// why the SNR-based protocols trail RapidSample by ~2x in Fig. 3-8.
-    fn feedback(&self, adapter: &mut dyn RateAdapter, now: SimTime) {
-        if let Some(h) = &self.hints {
-            adapter.report_movement_hint(now, h.query(now));
+    fn feedback(&mut self, now: SimTime) {
+        if let Some(h) = &self.sim.hints {
+            self.adapter.report_movement_hint(now, h.query(now));
         }
         let stale = now.saturating_since(SimTime::ZERO + hint_channel::SLOT_DURATION);
-        let slot = self.trace.slot_at(SimTime::ZERO + stale);
+        let slot = self.sim.trace.slot_at(SimTime::ZERO + stale);
         // Estimation error scales with how fast the channel changes under
         // the estimator: ~2 dB static, ~2.3 dB at walking pace, up to
         // ~6 dB at highway speed (keyed off the trace's ground-truth speed
         // because the *receiver's own estimator* physically degrades with
         // its own motion).
         let noise_db = SNR_MEASUREMENT_NOISE_DB + 4.0 * (slot.speed_mps / 20.0).min(1.0);
-        let measured = slot.snr_db + self.noise_rng.borrow_mut().normal() * noise_db;
-        adapter.report_snr(now, measured);
+        let measured = slot.snr_db + self.noise.normal() * noise_db;
+        self.adapter.report_snr(now, measured);
     }
 
-    /// One link attempt at `now`; returns (success, completion time).
-    ///
-    /// `rate_cap` models the MadWiFi-style multi-rate-retry chain: retry
-    /// attempt `k` of a segment may not go faster than the first attempt's
-    /// rate stepped down `k` notches, regardless of what the adapter says
-    /// (the driver programs the whole chain before the frame leaves).
+    /// One link attempt of a `bytes`-byte frame at `now`, at the
+    /// adapter's rate held to at most `cap`; returns (success,
+    /// completion time, rate used).
     fn attempt(
-        &self,
-        adapter: &mut dyn RateAdapter,
+        &mut self,
         now: SimTime,
-        usage: &mut [u64; BitRate::COUNT],
-        rate_cap: Option<usize>,
+        cap: Option<usize>,
+        bytes: u32,
     ) -> (bool, SimTime, BitRate) {
-        self.attempt_sized(adapter, now, usage, rate_cap, None)
-    }
-
-    /// [`LinkSimulator::attempt`] with an optional per-packet payload
-    /// size override: trace replay carries each record's own size, so
-    /// its airtime is computed per packet instead of from the hoisted
-    /// fixed-payload table (`None` is byte-identical to the table path).
-    fn attempt_sized(
-        &self,
-        adapter: &mut dyn RateAdapter,
-        now: SimTime,
-        usage: &mut [u64; BitRate::COUNT],
-        rate_cap: Option<usize>,
-        size: Option<u32>,
-    ) -> (bool, SimTime, BitRate) {
-        let mut rate = adapter.pick_rate(now);
-        if let Some(cap) = rate_cap {
+        let mut rate = self.adapter.pick_rate(now);
+        if let Some(cap) = cap {
             if rate.index() > cap {
                 rate = BitRate::from_index(cap);
             }
         }
-        usage[rate.index()] += 1;
-        let noise_hit = self.noise_rng.borrow_mut().chance(self.trace.noise_loss);
-        let ok = self.trace.fate(now, rate) && !noise_hit;
-        let airtime = match size {
-            None => self.exchange_airtimes[rate.index()],
-            Some(bytes) => self.timing.exchange_airtime(rate, bytes),
+        self.tally.attempts += 1;
+        self.tally.rate_usage[rate.index()] += 1;
+        let noise_hit = self.noise.chance(self.sim.trace.noise_loss);
+        let ok = self.sim.trace.fate(now, rate) && !noise_hit;
+        let airtime = if bytes == self.sim.payload_bytes {
+            self.sim.exchange_airtimes[rate.index()]
+        } else {
+            self.sim.timing.exchange_airtime(rate, bytes)
         };
-        let done = match &self.airtime_shares {
+        let done = match &self.sim.airtime_shares {
             // Uncontended: exact pre-contention arithmetic.
             None => now + airtime,
             Some(shares) => {
@@ -363,131 +400,102 @@ impl<'a> LinkSimulator<'a> {
                 now + SimDuration::from_micros((airtime.as_micros() as f64 / share).round() as u64)
             }
         };
-        adapter.report(done, rate, ok);
+        self.adapter.report(done, rate, ok);
         (ok, done, rate)
     }
 
-    fn run_udp(
-        &self,
-        adapter: &mut dyn RateAdapter,
-        mut rec: Option<&mut Vec<PacketRecord>>,
-    ) -> SimResult {
-        let end = SimTime::ZERO + self.trace.duration();
-        let mut now = SimTime::ZERO;
-        let mut sent = 0u64;
-        let mut delivered = 0u64;
-        let mut usage = [0u64; BitRate::COUNT];
-        let mut per_second = vec![0u64; self.trace.duration().as_secs_f64().ceil() as usize];
-
-        while now < end {
-            self.feedback(adapter, now);
-            let (ok, done, _) = self.attempt(adapter, now, &mut usage, None);
-            sent += 1;
-            if ok {
-                delivered += 1;
-                let sec = (now.as_micros() / 1_000_000) as usize;
-                if sec < per_second.len() {
-                    per_second[sec] += 1;
-                }
-                if let Some(r) = rec.as_deref_mut() {
-                    r.push(PacketRecord {
-                        time_us: now.as_micros(),
-                        direction: Direction::Send,
-                        size: self.payload_bytes,
-                    });
-                }
-            }
+    /// Up to `tries` link attempts of one frame from `start`, stopping at
+    /// the first success or at the trace end; returns (delivered, time
+    /// the chain finished).
+    ///
+    /// Retries follow the MadWiFi-style multi-rate-retry chain: retry `k`
+    /// may not go faster than the first attempt's rate stepped down `k`
+    /// notches, whatever the adapter says (the driver programs the whole
+    /// chain before the frame leaves). Spec validation rejects
+    /// `tries == 0`; it is clamped to one anyway so a direct-API
+    /// degenerate config cannot loop without advancing time.
+    fn chain(&mut self, start: SimTime, tries: u32, bytes: u32) -> (bool, SimTime) {
+        let mut now = start;
+        let mut first_rate = None;
+        for k in 0..tries.max(1) {
+            let cap = first_rate.map(|r0: usize| r0.saturating_sub(k as usize));
+            let (ok, done, rate) = self.attempt(now, cap, bytes);
+            first_rate.get_or_insert(rate.index());
             now = done;
+            if ok || now >= self.end {
+                return (ok, now);
+            }
         }
+        (false, now)
+    }
 
-        let duration = self.trace.duration();
-        SimResult {
-            packets_sent: sent,
-            packets_delivered: delivered,
-            attempts: sent,
-            goodput_bps: delivered as f64 * f64::from(self.payload_bytes) * 8.0
-                / duration.as_secs_f64(),
-            duration,
-            rate_usage: usage,
-            delivered_per_second: per_second,
-            backhaul_dropped: 0,
+    /// Account one packet offered to the link at `send_start`.
+    ///
+    /// Deliveries bucket by the **send-start** second, which is always
+    /// inside the trace: a retry chain, RTO backoff or ack can finish
+    /// past `end`, and bucketing by completion would drop the delivery
+    /// from the series. So the series always sums to `packets_delivered`.
+    fn offer(&mut self, send_start: SimTime, delivered: bool, bytes: u32) {
+        self.tally.packets_sent += 1;
+        if !delivered {
+            return;
+        }
+        self.tally.packets_delivered += 1;
+        self.delivered_bytes += u64::from(bytes);
+        let sec = (send_start.as_micros() / 1_000_000) as usize;
+        if let Some(bucket) = self.tally.delivered_per_second.get_mut(sec) {
+            *bucket += 1;
+        }
+        if let Some(r) = self.rec.as_deref_mut() {
+            r.push(PacketRecord {
+                time_us: send_start.as_micros(),
+                direction: Direction::Send,
+                size: bytes,
+            });
         }
     }
 
-    fn run_tcp(
-        &self,
-        adapter: &mut dyn RateAdapter,
-        cfg: TcpConfig,
-        mut rec: Option<&mut Vec<PacketRecord>>,
-    ) -> SimResult {
-        let end = SimTime::ZERO + self.trace.duration();
-        let mut now = SimTime::ZERO;
-        let mut sent = 0u64;
-        let mut delivered = 0u64;
-        let mut attempts_total = 0u64;
-        let mut usage = [0u64; BitRate::COUNT];
-        let mut per_second = vec![0u64; self.trace.duration().as_secs_f64().ceil() as usize];
+    fn finish(mut self) -> SimResult {
+        self.tally.goodput_bps = goodput_bps(self.delivered_bytes, self.tally.duration);
+        self.tally
+    }
 
+    /// Back-to-back datagrams, one link try each.
+    fn udp(&mut self) {
+        let bytes = self.sim.payload_bytes;
+        let mut now = SimTime::ZERO;
+        while now < self.end {
+            self.feedback(now);
+            let (ok, done) = self.chain(now, 1, bytes);
+            self.offer(now, ok, bytes);
+            now = done;
+        }
+    }
+
+    /// The open-loop TCP model: segments under a retry chain of
+    /// `link_attempts` tries, paced at most `cwnd` per RTT, with
+    /// fast-retransmit halving and RTO backoff on sustained loss.
+    fn tcp(&mut self, cfg: TcpConfig) {
+        let bytes = self.sim.payload_bytes;
+        let mut now = SimTime::ZERO;
         let mut cwnd: f64 = 2.0;
         let mut ssthresh: f64 = cfg.cwnd_cap;
         let mut consecutive_drops = 0u32;
         let mut window_start = now;
         let mut pkts_in_window = 0.0f64;
-        // Spec validation rejects link_attempts == 0; clamp anyway so a
-        // direct-API degenerate config cannot loop without advancing
-        // time (identity for every valid config).
-        let link_attempts = cfg.link_attempts.max(1);
         // How many RTO doublings fit under rto_max (see the TcpConfig
         // rustdoc): derived from the configured pair instead of the old
         // hard-coded 16x cap, which silently truncated the curve
         // whenever rto_max > 16 * rto.
         let backoff_shift_cap = cfg.backoff_shift_cap();
 
-        while now < end {
-            self.feedback(adapter, now);
-
-            // One TCP segment: up to `link_attempts` MAC tries with a
-            // multi-rate-retry chain stepping the cap down each retry.
-            sent += 1;
-            let seg_start = now;
-            let mut ok = false;
-            let mut first_rate_idx = None;
-            for k in 0..link_attempts {
-                let cap = first_rate_idx.map(|r0: usize| r0.saturating_sub(k as usize));
-                let (a_ok, done, rate) = self.attempt(adapter, now, &mut usage, cap);
-                if first_rate_idx.is_none() {
-                    first_rate_idx = Some(rate.index());
-                }
-                attempts_total += 1;
-                now = done;
-                if a_ok {
-                    ok = true;
-                    break;
-                }
-                if now >= end {
-                    break;
-                }
-            }
+        while now < self.end {
+            self.feedback(now);
+            let (ok, done) = self.chain(now, cfg.link_attempts, bytes);
+            self.offer(now, ok, bytes);
+            now = done;
 
             if ok {
-                delivered += 1;
-                // Bucket by the segment's send-start second (as UDP
-                // does): a retry chain or RTO backoff can push the
-                // *completion* time past `end`, and bucketing by that
-                // used to silently drop the delivery from the series.
-                // The send start is always inside the trace, so the sum
-                // of the series equals `packets_delivered`.
-                let sec = (seg_start.as_micros() / 1_000_000) as usize;
-                if sec < per_second.len() {
-                    per_second[sec] += 1;
-                }
-                if let Some(r) = rec.as_deref_mut() {
-                    r.push(PacketRecord {
-                        time_us: seg_start.as_micros(),
-                        direction: Direction::Send,
-                        size: self.payload_bytes,
-                    });
-                }
                 consecutive_drops = 0;
                 cwnd = if cwnd < ssthresh {
                     (cwnd + 1.0).min(cfg.cwnd_cap)
@@ -524,19 +532,6 @@ impl<'a> LinkSimulator<'a> {
                 pkts_in_window = 0.0;
             }
         }
-
-        let duration = self.trace.duration();
-        SimResult {
-            packets_sent: sent,
-            packets_delivered: delivered,
-            attempts: attempts_total,
-            goodput_bps: delivered as f64 * f64::from(self.payload_bytes) * 8.0
-                / duration.as_secs_f64(),
-            duration,
-            rate_usage: usage,
-            delivered_per_second: per_second,
-            backhaul_dropped: 0,
-        }
     }
 
     /// Replay a recorded packet trace against the link.
@@ -545,23 +540,10 @@ impl<'a> LinkSimulator<'a> {
     /// done)` — the schedule paces the sender, the link serialises it —
     /// so idle gaps in the recording are skipped deterministically
     /// instead of being busy-waited. `r` records are receiver-side
-    /// context and do not transmit. One link attempt per packet (like
-    /// UDP), with the record's own payload size driving airtime and
-    /// goodput.
-    fn run_trace(
-        &self,
-        adapter: &mut dyn RateAdapter,
-        t: &PacketTrace,
-        mut rec: Option<&mut Vec<PacketRecord>>,
-    ) -> SimResult {
-        let end = SimTime::ZERO + self.trace.duration();
+    /// context and do not transmit. One link try per packet (like UDP),
+    /// with the record's own payload size driving airtime and goodput.
+    fn replay(&mut self, t: &PacketTrace) {
         let mut now = SimTime::ZERO;
-        let mut sent = 0u64;
-        let mut delivered = 0u64;
-        let mut delivered_bytes = 0u64;
-        let mut usage = [0u64; BitRate::COUNT];
-        let mut per_second = vec![0u64; self.trace.duration().as_secs_f64().ceil() as usize];
-
         for r in t.records.iter().filter(|r| r.direction == Direction::Send) {
             let scheduled = SimTime::ZERO + SimDuration::from_micros(r.time_us);
             if scheduled > now {
@@ -570,40 +552,13 @@ impl<'a> LinkSimulator<'a> {
             // The channel trace ends before the packet trace does: stop
             // replaying (records are time-sorted, so nothing later fits
             // either).
-            if now >= end {
+            if now >= self.end {
                 break;
             }
-            self.feedback(adapter, now);
-            let (ok, done, _) = self.attempt_sized(adapter, now, &mut usage, None, Some(r.size));
-            sent += 1;
-            if ok {
-                delivered += 1;
-                delivered_bytes += u64::from(r.size);
-                let sec = (now.as_micros() / 1_000_000) as usize;
-                if sec < per_second.len() {
-                    per_second[sec] += 1;
-                }
-                if let Some(out) = rec.as_deref_mut() {
-                    out.push(PacketRecord {
-                        time_us: now.as_micros(),
-                        direction: Direction::Send,
-                        size: r.size,
-                    });
-                }
-            }
+            self.feedback(now);
+            let (ok, done) = self.chain(now, 1, r.size);
+            self.offer(now, ok, r.size);
             now = done;
-        }
-
-        let duration = self.trace.duration();
-        SimResult {
-            packets_sent: sent,
-            packets_delivered: delivered,
-            attempts: sent,
-            goodput_bps: delivered_bytes as f64 * 8.0 / duration.as_secs_f64(),
-            duration,
-            rate_usage: usage,
-            delivered_per_second: per_second,
-            backhaul_dropped: 0,
         }
     }
 
@@ -621,28 +576,14 @@ impl<'a> LinkSimulator<'a> {
     /// stalls the flow. Losses surfaced by later acks are charged as
     /// fast-retransmit-style loss events instead.
     ///
-    /// Accounting matches the other workloads: deliveries bucket into
-    /// `delivered_per_second` by **send-start** second (always inside
-    /// the trace), so the series sums to `packets_delivered` even when a
-    /// retry chain or ack crosses the trace end. Every packet's fate is
-    /// forward-computed at its send time, in send order — the only RNG
-    /// the flow path touches is the shared per-attempt noise stream, in
-    /// exactly the per-packet order the open-loop workloads use, so flow
-    /// runs stay byte-identical at any `--jobs`.
-    fn run_flow(
-        &self,
-        adapter: &mut dyn RateAdapter,
-        cfg: &FlowConfig,
-        mut rec: Option<&mut Vec<PacketRecord>>,
-    ) -> SimResult {
-        let end = SimTime::ZERO + self.trace.duration();
-        let mut sent = 0u64;
-        let mut delivered = 0u64;
-        let mut attempts_total = 0u64;
-        let mut dropped = 0u64;
-        let mut usage = [0u64; BitRate::COUNT];
-        let mut per_second = vec![0u64; self.trace.duration().as_secs_f64().ceil() as usize];
-
+    /// Every packet's fate is forward-computed at its send time, in send
+    /// order — the only RNG the flow path touches is the shared
+    /// per-attempt noise stream, in exactly the per-packet order the
+    /// open-loop workloads use, so flow runs stay byte-identical at any
+    /// `--jobs`.
+    fn flow(&mut self, cfg: &FlowConfig) {
+        let bytes = self.sim.payload_bytes;
+        let backhaul = self.sim.backhaul;
         let mut cc = match CcaRegistry::builtin_shared().try_build(&cfg.cca) {
             Ok(cc) => cc,
             // Programmer error, not a spec error: FlowConfig::validate —
@@ -651,12 +592,8 @@ impl<'a> LinkSimulator<'a> {
             Err(e) => panic!("{e}; validate the FlowConfig before running (spec compilation does)"),
         };
         let mut rtt_est = RttEstimator::new();
-        let mut queue = self.backhaul.map(|b| DropTailQueue::new(b.queue_pkts));
-        let wire_delay = self.backhaul.map_or(SimDuration::ZERO, |b| b.delay);
-        // Spec validation rejects link_attempts == 0; clamp anyway so a
-        // direct-API degenerate config cannot loop without advancing
-        // time (identity for every valid config).
-        let link_attempts = cfg.link_attempts.max(1);
+        let mut queue = backhaul.map(|b| DropTailQueue::new(b.queue_pkts));
+        let wire_delay = backhaul.map_or(SimDuration::ZERO, |b| b.delay);
 
         /// One in-flight packet: when it left the sender, and when its
         /// ack arrives (`None` = lost on the wire or in the air).
@@ -689,68 +626,33 @@ impl<'a> LinkSimulator<'a> {
             // sender; each packet's fate through wire and air is
             // forward-computed here, in send order.
             let window = cc.window().max(1.0);
-            while now < end && (flight.len() as f64) < window {
-                sent += 1;
+            while now < self.end && (flight.len() as f64) < window {
                 let sent_at = now;
                 // Wired segment: serialise through the drop-tail queue.
-                let air_arrival = match (&mut queue, self.backhaul) {
-                    (Some(q), Some(b)) => match q.offer(sent_at, b.tx_time(self.payload_bytes)) {
+                let air_arrival = match (&mut queue, backhaul) {
+                    (Some(q), Some(b)) => match q.offer(sent_at, b.tx_time(bytes)) {
                         Some(departure) => Some(departure + wire_delay),
                         None => {
-                            dropped += 1;
+                            self.tally.backhaul_dropped += 1;
                             None
                         }
                     },
                     _ => Some(sent_at),
                 };
-                // Air segment: the TCP model's multi-rate-retry chain.
+                // Air segment. The channel trace may end before a queued
+                // packet reaches the air: it is never attempted (and
+                // never acked), exactly as the open-loop models stop at
+                // `end`.
                 let mut ack_at = None;
-                if let Some(arrival) = air_arrival {
-                    let air_start = arrival.max(air_free);
-                    // The channel trace may end before a queued packet
-                    // reaches the air: it is never attempted (and never
-                    // acked), exactly as the open-loop models stop at
-                    // `end`.
-                    if air_start < end {
-                        self.feedback(adapter, air_start);
-                        let mut t = air_start;
-                        let mut first_rate_idx = None;
-                        for k in 0..link_attempts {
-                            let cap = first_rate_idx.map(|r0: usize| r0.saturating_sub(k as usize));
-                            let (a_ok, done, rate) = self.attempt(adapter, t, &mut usage, cap);
-                            if first_rate_idx.is_none() {
-                                first_rate_idx = Some(rate.index());
-                            }
-                            attempts_total += 1;
-                            t = done;
-                            if a_ok {
-                                ack_at = Some(t + wire_delay);
-                                break;
-                            }
-                            if t >= end {
-                                break;
-                            }
-                        }
-                        air_free = t;
+                if let Some(air_start) = air_arrival.map(|a| a.max(air_free)) {
+                    if air_start < self.end {
+                        self.feedback(air_start);
+                        let (ok, done) = self.chain(air_start, cfg.link_attempts, bytes);
+                        air_free = done;
+                        ack_at = ok.then_some(done + wire_delay);
                     }
                 }
-                if ack_at.is_some() {
-                    delivered += 1;
-                    // Bucket by send-start second, as every workload
-                    // does: the send is always inside the trace even
-                    // when the ack lands past `end`.
-                    let sec = (sent_at.as_micros() / 1_000_000) as usize;
-                    if sec < per_second.len() {
-                        per_second[sec] += 1;
-                    }
-                    if let Some(r) = rec.as_deref_mut() {
-                        r.push(PacketRecord {
-                            time_us: sent_at.as_micros(),
-                            direction: Direction::Send,
-                            size: self.payload_bytes,
-                        });
-                    }
-                }
+                self.offer(sent_at, ack_at.is_some(), bytes);
                 flight.push_back(InFlight { sent_at, ack_at });
             }
 
@@ -799,19 +701,6 @@ impl<'a> LinkSimulator<'a> {
                     }
                 }
             }
-        }
-
-        let duration = self.trace.duration();
-        SimResult {
-            packets_sent: sent,
-            packets_delivered: delivered,
-            attempts: attempts_total,
-            goodput_bps: delivered as f64 * f64::from(self.payload_bytes) * 8.0
-                / duration.as_secs_f64(),
-            duration,
-            rate_usage: usage,
-            delivered_per_second: per_second,
-            backhaul_dropped: dropped,
         }
     }
 }
@@ -1006,13 +895,20 @@ mod tests {
         // link_attempts == 0 must not hang even when fed straight to the
         // simulator API (spec validation rejects it earlier).
         let t = trace(false, 1, 12);
-        let mut rs = RapidSample::new();
-        let cfg = TcpConfig {
+        let tcp = Workload::Tcp(TcpConfig {
             link_attempts: 0,
             ..TcpConfig::default()
-        };
-        let res = LinkSimulator::new(&t).run(&mut rs, &Workload::Tcp(cfg));
-        assert!(res.packets_sent > 0);
+        });
+        let flow = Workload::Flow(FlowConfig {
+            link_attempts: 0,
+            ..FlowConfig::default()
+        });
+        for workload in [tcp, flow] {
+            let mut rs = RapidSample::new();
+            let res = LinkSimulator::new(&t).run(&mut rs, &workload);
+            assert!(res.packets_sent > 0, "{workload:?}");
+            assert!(res.attempts > 0, "{workload:?}");
+        }
     }
 
     #[test]

@@ -72,11 +72,11 @@ impl TcpConfig {
     /// Reject degenerate parameter sets before they reach the simulator.
     ///
     /// The guards are exactly the ways a spec-supplied config can stall
-    /// or corrupt `run_tcp`: `link_attempts == 0` makes a segment loop
-    /// that never advances time (the historical hang), a zero `rtt`/`rto`
-    /// disables pacing/backoff, `rto > rto_max` inverts the backoff
-    /// clamp, and `cwnd_cap < 2` is below the model's loss-recovery
-    /// floor.
+    /// or corrupt a [`Workload::Tcp`] run: `link_attempts == 0` makes a
+    /// segment loop that never advances time (the historical hang), a
+    /// zero `rtt`/`rto` disables pacing/backoff, `rto > rto_max` inverts
+    /// the backoff clamp, and `cwnd_cap < 2` is below the model's
+    /// loss-recovery floor.
     pub fn validate(&self) -> Result<(), String> {
         if self.link_attempts == 0 {
             return Err(
