@@ -312,8 +312,8 @@ impl<'a> LinkSimulator<'a> {
 struct LinkRun<'r> {
     sim: &'r LinkSimulator<'r>,
     // Borrowed out of `sim`'s `Cow`s once per run: the per-attempt path
-    // reads both after every adapter call, and going through `sim` each
-    // time cost up to 8 % of a UDP or TCP link run.
+    // reads both after every adapter call, and re-reaching them through
+    // `sim` each time measurably slowed the UDP and TCP runs.
     trace: &'r Trace,
     hints: Option<&'r HintStream>,
     adapter: &'r mut dyn RateAdapter,
