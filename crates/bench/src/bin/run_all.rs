@@ -22,6 +22,7 @@ use hint_bench::runner::{
     battery_index, full_battery, run_jobs_with, select_jobs, smoke_battery, Job,
 };
 use std::io::Write;
+use std::num::NonZeroUsize;
 
 const USAGE: &str = "usage: run_all [--smoke] [--jobs N] [--filter SUBSTRING] [--list]\n\
        --jobs N    run experiments on N worker threads (N >= 1; output is\n\
@@ -37,7 +38,7 @@ fn usage_error(msg: &str) -> ! {
 
 struct Options {
     smoke: bool,
-    jobs: usize,
+    jobs: NonZeroUsize,
     filter: Option<String>,
     list: bool,
 }
@@ -45,7 +46,7 @@ struct Options {
 fn parse_args(args: &[String]) -> Options {
     let mut opts = Options {
         smoke: false,
-        jobs: 1,
+        jobs: NonZeroUsize::MIN,
         filter: None,
         list: false,
     };
@@ -58,9 +59,9 @@ fn parse_args(args: &[String]) -> Options {
                 let v = it
                     .next()
                     .unwrap_or_else(|| usage_error("--jobs needs a value"));
-                match v.parse::<usize>() {
-                    Ok(0) => usage_error("--jobs must be at least 1"),
-                    Ok(n) => opts.jobs = n,
+                match v.parse::<usize>().map(NonZeroUsize::new) {
+                    Ok(Some(n)) => opts.jobs = n,
+                    Ok(None) => usage_error("--jobs must be at least 1"),
                     Err(_) => usage_error(&format!("--jobs needs a positive integer, got `{v}`")),
                 }
             }

@@ -8,8 +8,8 @@
 //! the concatenated parallel output is byte-identical to a serial run —
 //! asserted by `tests/parallel_determinism.rs`.
 //!
-//! No external dependencies: the pool is `std::thread::scope` workers
-//! pulling job indices from one atomic counter.
+//! The pool is [`hint_sim::pool::map_ordered`], the same one the fleet
+//! engine shards its span arena on.
 
 use crate::report::Report;
 use crate::table_5_1;
@@ -20,8 +20,8 @@ use crate::{
     fig_4_2_4_3, fig_4_4_4_5, fig_4_6, fig_5_1, fleet, metro, resilience, route_stability,
     trace_replay,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use hint_sim::pool;
+use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
 /// One experiment's finished output plus its wall-clock cost.
@@ -39,7 +39,7 @@ pub struct ExperimentReport {
 pub struct Job {
     name: &'static str,
     desc: &'static str,
-    run: Box<dyn FnOnce() -> Report + Send>,
+    run: Box<dyn Fn() -> Report + Send + Sync>,
 }
 
 impl Job {
@@ -48,7 +48,7 @@ impl Job {
     pub fn new(
         name: &'static str,
         desc: &'static str,
-        run: impl FnOnce() -> Report + Send + 'static,
+        run: impl Fn() -> Report + Send + Sync + 'static,
     ) -> Job {
         Job {
             name,
@@ -307,80 +307,50 @@ pub fn battery_index(jobs: &[Job]) -> String {
 /// return all reports in battery order.
 ///
 /// # Panics
-/// Panics if `n_jobs` is zero (the CLI rejects it earlier with a usage
-/// message) or if a job panics on its worker.
+/// Panics if a job panics.
 pub fn run_jobs_with(
     jobs: Vec<Job>,
-    n_jobs: usize,
+    n_jobs: NonZeroUsize,
     mut on_report: impl FnMut(&ExperimentReport),
 ) -> Vec<ExperimentReport> {
-    assert!(n_jobs >= 1, "n_jobs must be >= 1");
-    let n = jobs.len();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Job>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let (tx, rx) = mpsc::channel::<(usize, ExperimentReport)>();
-
-    let mut results: Vec<Option<ExperimentReport>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..n_jobs.min(n.max(1)) {
-            let tx = tx.clone();
-            let (next, slots) = (&next, &slots);
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let job = slots[i]
-                    .lock()
-                    .expect("job slot lock")
-                    .take()
-                    .expect("job taken once");
-                let start = Instant::now();
-                let report = (job.run)();
-                let sent = tx.send((
-                    i,
-                    ExperimentReport {
-                        name: job.name.to_string(),
-                        text: report.into_text(),
-                        wall: start.elapsed(),
-                    },
-                ));
-                sent.expect("collector outlives workers");
-            });
-        }
-        drop(tx);
-
-        // Collector (this thread): stream the completed prefix in battery
-        // order while later jobs are still running.
-        let mut flushed = 0usize;
-        for (i, report) in rx {
-            results[i] = Some(report);
-            while let Some(Some(ready)) = results.get(flushed) {
-                on_report(ready);
-                flushed += 1;
+    let mut reports = Vec::with_capacity(jobs.len());
+    pool::map_ordered(
+        &jobs,
+        n_jobs,
+        |job| {
+            let start = Instant::now();
+            let text = (job.run)().into_text();
+            ExperimentReport {
+                name: job.name.to_string(),
+                text,
+                wall: start.elapsed(),
             }
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|r| r.expect("every job ran to completion"))
-        .collect()
+        },
+        |_, report| {
+            on_report(&report);
+            reports.push(report);
+        },
+    );
+    reports
 }
 
 /// [`run_jobs_with`] without a streaming sink.
-pub fn run_jobs(jobs: Vec<Job>, n_jobs: usize) -> Vec<ExperimentReport> {
+pub fn run_jobs(jobs: Vec<Job>, n_jobs: NonZeroUsize) -> Vec<ExperimentReport> {
     run_jobs_with(jobs, n_jobs, |_| {})
 }
 
 /// Convenience for tests: run a battery and concatenate the ordered output.
-pub fn battery_output(jobs: Vec<Job>, n_jobs: usize) -> String {
+pub fn battery_output(jobs: Vec<Job>, n_jobs: NonZeroUsize) -> String {
     run_jobs(jobs, n_jobs).into_iter().map(|r| r.text).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn nz(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
+    }
 
     fn tiny_job(name: &'static str, payload: u64) -> Job {
         Job::new(name, "a tiny test job", move || {
@@ -395,9 +365,9 @@ mod tests {
     #[test]
     fn parallel_order_matches_serial() {
         let make = || vec![tiny_job("a", 1), tiny_job("b", 2), tiny_job("c", 3)];
-        let serial = battery_output(make(), 1);
+        let serial = battery_output(make(), NonZeroUsize::MIN);
         for n in [2, 3, 8] {
-            assert_eq!(battery_output(make(), n), serial, "jobs={n}");
+            assert_eq!(battery_output(make(), nz(n)), serial, "jobs={n}");
         }
         assert!(serial.starts_with("a: "));
     }
@@ -408,7 +378,7 @@ mod tests {
             let mut seen = Vec::new();
             let reports = run_jobs_with(
                 vec![tiny_job("a", 1), tiny_job("b", 2), tiny_job("c", 3)],
-                n_jobs,
+                nz(n_jobs),
                 |r| seen.push(r.name.clone()),
             );
             assert_eq!(seen, ["a", "b", "c"], "n_jobs={n_jobs}");
@@ -418,14 +388,14 @@ mod tests {
 
     #[test]
     fn more_workers_than_jobs_is_fine() {
-        let out = run_jobs(vec![tiny_job("only", 7)], 16);
+        let out = run_jobs(vec![tiny_job("only", 7)], nz(16));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].name, "only");
     }
 
     #[test]
     fn empty_battery_returns_empty() {
-        assert!(run_jobs(Vec::new(), 4).is_empty());
+        assert!(run_jobs(Vec::new(), nz(4)).is_empty());
     }
 
     #[test]
@@ -493,11 +463,5 @@ mod tests {
             assert_eq!(&line[width..width + 2], "  ");
             assert_eq!(&line[width + 2..], job.desc());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "n_jobs")]
-    fn zero_workers_rejected() {
-        let _ = run_jobs(Vec::new(), 0);
     }
 }

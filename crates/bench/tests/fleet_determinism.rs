@@ -10,6 +10,7 @@ use hint_bench::{report::Report, rline};
 use hint_rateadapt::fleet::FleetSpec;
 use hint_rateadapt::scenario::HintSpec;
 use sensor_hints::fleet::FleetScenario;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -99,8 +100,8 @@ fn fleet_jobs_parallel_output_identical_to_serial() {
             })
             .collect()
     };
-    let serial = battery_output(make(), 1);
-    let parallel = battery_output(make(), 4);
+    let serial = battery_output(make(), NonZeroUsize::MIN);
+    let parallel = battery_output(make(), NonZeroUsize::new(4).unwrap());
     assert!(
         serial == parallel,
         "fleet battery diverged between --jobs 1 ({} bytes) and --jobs 4 ({} bytes)",

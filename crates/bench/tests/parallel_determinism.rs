@@ -4,12 +4,13 @@
 //! into a `Report`, so scheduling cannot leak into results.
 
 use hint_bench::runner::{battery_output, filter_jobs, run_jobs, smoke_battery};
+use std::num::NonZeroUsize;
 
 /// `run_all --smoke --jobs 4` output equals `--jobs 1`, byte for byte.
 #[test]
 fn smoke_battery_parallel_output_identical_to_serial() {
-    let serial = battery_output(smoke_battery(), 1);
-    let parallel = battery_output(smoke_battery(), 4);
+    let serial = battery_output(smoke_battery(), NonZeroUsize::MIN);
+    let parallel = battery_output(smoke_battery(), NonZeroUsize::new(4).unwrap());
     assert!(
         serial == parallel,
         "parallel smoke battery diverged from serial (serial {} bytes, parallel {} bytes)",
@@ -26,14 +27,17 @@ fn smoke_battery_parallel_output_identical_to_serial() {
 /// runs the same experiments in the same order.
 #[test]
 fn filtered_battery_is_deterministic_and_ordered() {
-    let serial: Vec<String> = run_jobs(filter_jobs(smoke_battery(), "fig"), 1)
+    let serial: Vec<String> = run_jobs(filter_jobs(smoke_battery(), "fig"), NonZeroUsize::MIN)
         .into_iter()
         .map(|r| r.name)
         .collect();
-    let parallel: Vec<String> = run_jobs(filter_jobs(smoke_battery(), "fig"), 3)
-        .into_iter()
-        .map(|r| r.name)
-        .collect();
+    let parallel: Vec<String> = run_jobs(
+        filter_jobs(smoke_battery(), "fig"),
+        NonZeroUsize::new(3).unwrap(),
+    )
+    .into_iter()
+    .map(|r| r.name)
+    .collect();
     assert_eq!(serial, parallel);
     assert_eq!(
         serial,

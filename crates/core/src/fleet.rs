@@ -45,16 +45,21 @@
 //!   each scan considers only the APs whose coverage disks can contain
 //!   the client instead of all M (exact-equivalent to the brute-force
 //!   scan, property-tested in `hint-topology`).
-//! * **Span arena + sharding** — Phase B flattens every association
-//!   span into one task arena and [`FleetScenario::run_with_jobs`]
-//!   shards it across a scoped worker pool. Each span's simulation is a
-//!   pure function of the spec seed, and the per-client merge is a sum
-//!   of integer counters (goodput is computed from the totals
-//!   afterwards), so results can be folded in completion order: the
-//!   outcome is **byte-identical for every worker count**.
+//! * **Staged engine** — [`FleetScenario::run_with_jobs`] runs Phase A
+//!   (the association event loop), Phase A′ (CSMA/CA arbitration of
+//!   shared media) and the span arena build in order, each a function
+//!   with a typed hand-off that adds its per-AP totals into the
+//!   outcome's [`FleetApStats`].
+//! * **Span arena + sharding** — Phase B shards the arena on
+//!   [`hint_sim::pool`]. Each span's simulation is a pure function of
+//!   the spec seed, and span results fold into per-client sums in arena
+//!   order (goodput is computed from the totals afterwards): the outcome
+//!   is **byte-identical for every worker count**.
 //! * **Streaming accumulation** — span results merge into per-client
-//!   running sums the moment they land; memory stays
-//!   O(clients + APs + spans), never O(spans × trace length).
+//!   running sums as soon as every earlier span has landed (a result
+//!   that finishes ahead of a slower earlier span waits in the pool's
+//!   reorder buffer); memory stays O(clients + APs + spans), never
+//!   O(spans × trace length).
 
 use crate::neighbors::NeighborHints;
 use hint_ap::association::{predicted_dwell_s, should_handoff, ApCandidate, ClientMotion};
@@ -74,12 +79,11 @@ use hint_rateadapt::sim::goodput_bps;
 use hint_rateadapt::{HintStream, LinkSimulator, SimResult, TraceSource, Workload};
 use hint_sensors::gps::Position;
 use hint_sensors::motion::{MotionProfile, MotionSegment};
-use hint_sim::{EventQueue, RngStream, SimDuration, SimTime};
+use hint_sim::{pool, EventQueue, RngStream, SimDuration, SimTime};
 use hint_topology::spatial::{Disk, DiskIndex};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::num::NonZeroUsize;
 
 /// Assumed receiver noise floor, dBm: scan-time RSSI is the link's mean
 /// SNR re-referenced to it.
@@ -481,21 +485,12 @@ struct SpanTask {
     ap: usize,
 }
 
-/// What Phases A and A' hand to Phase B and outcome assembly.
-struct SpanPlan {
-    runs: Vec<ClientRun>,
-    /// The Phase B arena: one task per span long enough to simulate.
-    tasks: Vec<SpanTask>,
-    /// Airtime share per `(ap, epoch, client)` from the arbiter.
-    epoch_shares: BTreeMap<(usize, u64, usize), f64>,
-    ap_assoc_s: Vec<f64>,
-    ap_handoffs_in: Vec<u32>,
-    ap_wasted_s: Vec<f64>,
-    ap_evictions: Vec<u32>,
-    ap_busy_s: Vec<f64>,
-    ap_collision_s: Vec<f64>,
-    ap_collisions: Vec<u32>,
-}
+/// What Phase A' hands to Phase B: the airtime share the arbiter
+/// granted per `(ap, epoch, client)`. A BTreeMap (not a hash map):
+/// Phase B only point-reads it, but an ordered map keeps any future
+/// traversal deterministic by construction — the byte-identical
+/// contract `detlint` enforces.
+type EpochShares = BTreeMap<(usize, u64, usize), f64>;
 
 /// Fold one span's simulation result into its client's running sums.
 /// Every operation is a commutative integer addition (goodput is
@@ -515,6 +510,30 @@ fn merge_span(merged: &mut SimResult, from: SimTime, result: &SimResult) {
             *slot += n;
         }
     }
+}
+
+/// The Phase B arena: one task per span long enough to simulate. Every
+/// span's associated time counts into its AP's `association_s` whatever
+/// the span length; only the traffic simulation needs slots.
+fn span_tasks(runs: &[ClientRun], aps: &mut [FleetApStats]) -> Vec<SpanTask> {
+    let mut tasks = Vec::new();
+    for (c, run) in runs.iter().enumerate() {
+        for (k, &(from, to, ap)) in run.spans.iter().enumerate() {
+            let span = to.saturating_since(from);
+            aps[ap].association_s += span.as_secs_f64();
+            // Sub-slot spans cannot carry a trace slot; skip them.
+            if span >= hint_channel::SLOT_DURATION * 2 {
+                tasks.push(SpanTask {
+                    client: c,
+                    span_idx: k,
+                    from,
+                    to,
+                    ap,
+                });
+            }
+        }
+    }
+    tasks
 }
 
 impl FleetScenario {
@@ -713,21 +732,16 @@ impl FleetScenario {
         self.run_with_jobs(1)
     }
 
-    /// Phases A and A' plus the Phase B task arena: the association
-    /// event loop, the medium arbitration, and the spans they leave for
-    /// traffic simulation.
-    fn plan(&self) -> SpanPlan {
+    /// Phase A: the association/handoff event loop. Returns every
+    /// client's closed spans and counters, and adds each AP's handoff
+    /// arrivals, ghost airtime and evictions into `aps`.
+    fn associate_fleet(&self, aps: &mut [FleetApStats]) -> Vec<ClientRun> {
         let n_clients = self.spec.clients.len();
-        let n_aps = self.spec.aps.len();
-        let duration = self.spec.duration;
-        let end = SimTime::ZERO + duration;
+        let end = SimTime::ZERO + self.spec.duration;
         let reassoc = self.spec.handoff.reassociation_cost;
         let margin = self.spec.handoff.hysteresis;
         let client_hints_on = !matches!(self.spec.hints, HintSpec::None);
 
-        // ------------------------------------------------------------------
-        // Phase A: the association/handoff event loop.
-        // ------------------------------------------------------------------
         let mut runs: Vec<ClientRun> = (0..n_clients)
             .map(|_| ClientRun {
                 current: None,
@@ -744,14 +758,10 @@ impl FleetScenario {
                 scan_retries: 0,
             })
             .collect();
-        // AP-side hint tables (fed by frames, as in `neighbors`) and
-        // ghost-airtime accounting.
+        // AP-side hint tables (fed by frames, as in `neighbors`): they
+        // decide each departure's ghost airtime.
         let mut ap_tables: Vec<NeighborHints<usize>> =
-            (0..n_aps).map(|_| NeighborHints::new()).collect();
-        let mut ap_assoc_s = vec![0.0f64; n_aps];
-        let mut ap_handoffs_in = vec![0u32; n_aps];
-        let mut ap_wasted_s = vec![0.0f64; n_aps];
-        let mut ap_evictions = vec![0u32; n_aps];
+            aps.iter().map(|_| NeighborHints::new()).collect();
         let probe_airtime_s = MacTiming::ieee80211a()
             .exchange_airtime(BitRate::R6, self.spec.payload_bytes)
             .as_secs_f64();
@@ -800,7 +810,7 @@ impl FleetScenario {
                         if now > run.span_start {
                             run.spans.push((run.span_start, now, a));
                         }
-                        ap_evictions[a] += 1;
+                        aps[a].evictions += 1;
                         run.pending_forced = true;
                         run.current = None;
                         // A client evicted mid-reassociation was already
@@ -821,7 +831,7 @@ impl FleetScenario {
                         if now > run.span_start {
                             run.spans.push((run.span_start, now, cur));
                         }
-                        ap_wasted_s[cur] +=
+                        aps[cur].wasted_airtime_s +=
                             ghost_airtime_s(&ap_tables[cur], c, now, end, probe_airtime_s);
                         run.pending_forced = true;
                         run.current = None;
@@ -909,7 +919,7 @@ impl FleetScenario {
                     // the prune timeout for a silent departure, or
                     // occasional probes if the AP heard a movement hint.
                     run.spans.push((run.span_start, now, cur));
-                    ap_wasted_s[cur] +=
+                    aps[cur].wasted_airtime_s +=
                         ghost_airtime_s(&ap_tables[cur], c, now, end, probe_airtime_s);
                     run.pending_forced = true;
                     run.current = None;
@@ -921,7 +931,7 @@ impl FleetScenario {
                         if should_handoff(None, best_score, margin)
                             && self.associate(run, best_id, now, reassoc, end)
                         {
-                            ap_handoffs_in[best_id] += 1;
+                            aps[best_id].handoffs_in += 1;
                         }
                     }
                 }
@@ -932,7 +942,7 @@ impl FleetScenario {
                     // works, the AP is told, no ghost window.
                     run.spans.push((run.span_start, now, cur));
                     if self.associate(run, best_id, now, reassoc, end) {
-                        ap_handoffs_in[best_id] += 1;
+                        aps[best_id].handoffs_in += 1;
                     }
                 }
                 (None, Some((best_id, best_score))) if should_handoff(None, best_score, margin) => {
@@ -940,7 +950,7 @@ impl FleetScenario {
                     // into the match guard.)
                     let recorded = self.associate(run, best_id, now, reassoc, end);
                     if recorded {
-                        ap_handoffs_in[best_id] += 1;
+                        aps[best_id].handoffs_in += 1;
                     }
                 }
                 _ => {}
@@ -987,225 +997,150 @@ impl FleetScenario {
                 }
             }
         }
+        runs
+    }
 
-        // ------------------------------------------------------------------
-        // Phase A': shared-medium arbitration. With `contention: shared`,
-        // every (AP, scheduling epoch) whose association spans put two or
-        // more clients on one medium runs the CSMA/CA arbiter; each
-        // client's granted airtime becomes a per-second share that
-        // throttles its span traffic in Phase B. Epochs with at most one
-        // client bypass the arbiter (the paper's uncontended back-to-back
-        // sender), so a one-client fleet behaves like an isolated one.
-        // ------------------------------------------------------------------
-        // A BTreeMap (not a hash map): Phase B only point-reads it, but
-        // an ordered map keeps any future traversal deterministic by
-        // construction — the byte-identical contract `detlint` enforces.
-        let mut epoch_shares: BTreeMap<(usize, u64, usize), f64> = BTreeMap::new();
-        let mut ap_busy_s = vec![0.0f64; n_aps];
-        let mut ap_collision_s = vec![0.0f64; n_aps];
-        let mut ap_collisions = vec![0u32; n_aps];
+    /// Phase A': shared-medium arbitration. With `contention: shared`,
+    /// every (AP, scheduling epoch) whose association spans put two or
+    /// more clients on one medium runs the CSMA/CA arbiter; each
+    /// client's granted airtime becomes a per-second share that
+    /// throttles its span traffic in Phase B. Epochs with at most one
+    /// client bypass the arbiter (the paper's uncontended back-to-back
+    /// sender), so a one-client fleet behaves like an isolated one.
+    /// Adds each AP's contended busy and collision airtime into `aps`.
+    fn arbitrate(&self, runs: &[ClientRun], aps: &mut [FleetApStats]) -> EpochShares {
+        let mut epoch_shares = EpochShares::new();
+        if self.contention != ContentionMode::Shared {
+            return epoch_shares;
+        }
+        let duration = self.spec.duration;
         let epoch_us = self.spec.medium.epoch.as_micros();
-        if self.contention == ContentionMode::Shared {
-            let mut ap_spans: Vec<Vec<(usize, SimTime, SimTime)>> = vec![Vec::new(); n_aps];
-            for (c, run) in runs.iter().enumerate() {
-                for &(from, to, ap) in &run.spans {
-                    if to > from {
-                        ap_spans[ap].push((c, from, to));
-                    }
-                }
-            }
-            let medium_root = RngStream::new(self.spec.seed).derive("fleet-medium");
-            let arbiter = AirtimeArbiter::new(self.arbiter_params);
-            let n_epochs = duration.as_micros().div_ceil(epoch_us);
-            for (a, spans) in ap_spans.iter().enumerate() {
-                if spans.is_empty() {
-                    continue;
-                }
-                let ap_pos = Position {
-                    x: self.spec.aps[a].x_m,
-                    y: self.spec.aps[a].y_m,
-                };
-                for e in 0..n_epochs {
-                    let e_start = e * epoch_us;
-                    let e_end = ((e + 1) * epoch_us).min(duration.as_micros());
-                    // Per-client association window inside this epoch
-                    // (multiple spans merge to their envelope), in client
-                    // order so station indices are deterministic.
-                    let mut windows: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
-                    for &(c, from, to) in spans {
-                        let f = from.as_micros().max(e_start);
-                        let t = to.as_micros().min(e_end);
-                        if t > f {
-                            let w = windows.entry(c).or_insert((f, t));
-                            w.0 = w.0.min(f);
-                            w.1 = w.1.max(t);
-                        }
-                    }
-                    if windows.len() < 2 {
-                        continue; // uncontended epoch
-                    }
-                    let members: Vec<usize> = windows.keys().copied().collect();
-                    let stations: Vec<Station> = members
-                        .iter()
-                        .map(|&c| {
-                            let (f, t) = windows[&c];
-                            // Nominal operating rate from the link SNR at
-                            // the window midpoint (RBAR-style decision).
-                            let mid = SimTime::from_micros((f + t) / 2);
-                            let dist = self.paths[c].position_at(mid).distance(ap_pos);
-                            let snr = link_snr_db(&self.env, dist, self.spec.aps[a].coverage_m);
-                            let rate = best_rate_for_snr(snr, CONTENTION_RATE_TARGET);
-                            Station {
-                                frame_airtime: MacTiming::ieee80211a()
-                                    .exchange_airtime(rate, self.spec.payload_bytes),
-                                active_from: SimDuration::from_micros(f - e_start),
-                                active_to: SimDuration::from_micros(t - e_start),
-                            }
-                        })
-                        .collect();
-                    let seed = medium_root
-                        .derive_idx("ap", a as u64)
-                        .derive_idx("epoch", e)
-                        .seed();
-                    let sched = arbiter.arbitrate(
-                        SimDuration::from_micros(e_end - e_start),
-                        &stations,
-                        seed,
-                    );
-                    ap_busy_s[a] += sched.busy().as_secs_f64();
-                    ap_collision_s[a] += sched.collision_airtime.as_secs_f64();
-                    ap_collisions[a] += sched.collisions;
-                    for (i, &c) in members.iter().enumerate() {
-                        epoch_shares.insert((a, e, c), sched.share(i, &stations));
-                    }
-                }
-            }
-        }
-
-        // ------------------------------------------------------------------
-        // Phase B: per-span link traffic. The spans flatten into one task
-        // arena; each task is a pure function of the spec seed, so the
-        // arena shards across workers and the results stream into
-        // per-client running sums in whatever order they complete.
-        // ------------------------------------------------------------------
-        let mut tasks: Vec<SpanTask> = Vec::new();
+        let mut ap_spans: Vec<Vec<(usize, SimTime, SimTime)>> = vec![Vec::new(); aps.len()];
         for (c, run) in runs.iter().enumerate() {
-            for (k, &(from, to, ap_id)) in run.spans.iter().enumerate() {
-                let span = to.saturating_since(from);
-                // Associated time counts in the AP stats whatever the
-                // span length; only the traffic simulation needs slots.
-                ap_assoc_s[ap_id] += span.as_secs_f64();
-                // Sub-slot spans cannot carry a trace slot; skip them.
-                if span < hint_channel::SLOT_DURATION * 2 {
-                    continue;
+            for &(from, to, ap) in &run.spans {
+                if to > from {
+                    ap_spans[ap].push((c, from, to));
                 }
-                tasks.push(SpanTask {
-                    client: c,
-                    span_idx: k,
-                    from,
-                    to,
-                    ap: ap_id,
-                });
             }
         }
-
-        SpanPlan {
-            runs,
-            tasks,
-            epoch_shares,
-            ap_assoc_s,
-            ap_handoffs_in,
-            ap_wasted_s,
-            ap_evictions,
-            ap_busy_s,
-            ap_collision_s,
-            ap_collisions,
+        let medium_root = RngStream::new(self.spec.seed).derive("fleet-medium");
+        let arbiter = AirtimeArbiter::new(self.arbiter_params);
+        let n_epochs = duration.as_micros().div_ceil(epoch_us);
+        for (a, spans) in ap_spans.iter().enumerate() {
+            if spans.is_empty() {
+                continue;
+            }
+            let ap_pos = Position {
+                x: self.spec.aps[a].x_m,
+                y: self.spec.aps[a].y_m,
+            };
+            for e in 0..n_epochs {
+                let e_start = e * epoch_us;
+                let e_end = ((e + 1) * epoch_us).min(duration.as_micros());
+                // Per-client association window inside this epoch
+                // (multiple spans merge to their envelope), in client
+                // order so station indices are deterministic.
+                let mut windows: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
+                for &(c, from, to) in spans {
+                    let f = from.as_micros().max(e_start);
+                    let t = to.as_micros().min(e_end);
+                    if t > f {
+                        let w = windows.entry(c).or_insert((f, t));
+                        w.0 = w.0.min(f);
+                        w.1 = w.1.max(t);
+                    }
+                }
+                if windows.len() < 2 {
+                    continue; // uncontended epoch
+                }
+                let members: Vec<usize> = windows.keys().copied().collect();
+                let stations: Vec<Station> = members
+                    .iter()
+                    .map(|&c| {
+                        let (f, t) = windows[&c];
+                        // Nominal operating rate from the link SNR at
+                        // the window midpoint (RBAR-style decision).
+                        let mid = SimTime::from_micros((f + t) / 2);
+                        let dist = self.paths[c].position_at(mid).distance(ap_pos);
+                        let snr = link_snr_db(&self.env, dist, self.spec.aps[a].coverage_m);
+                        let rate = best_rate_for_snr(snr, CONTENTION_RATE_TARGET);
+                        Station {
+                            frame_airtime: MacTiming::ieee80211a()
+                                .exchange_airtime(rate, self.spec.payload_bytes),
+                            active_from: SimDuration::from_micros(f - e_start),
+                            active_to: SimDuration::from_micros(t - e_start),
+                        }
+                    })
+                    .collect();
+                let seed = medium_root
+                    .derive_idx("ap", a as u64)
+                    .derive_idx("epoch", e)
+                    .seed();
+                let sched =
+                    arbiter.arbitrate(SimDuration::from_micros(e_end - e_start), &stations, seed);
+                aps[a].contended_busy_s += sched.busy().as_secs_f64();
+                aps[a].collision_s += sched.collision_airtime.as_secs_f64();
+                aps[a].collisions += sched.collisions;
+                for (i, &c) in members.iter().enumerate() {
+                    epoch_shares.insert((a, e, c), sched.share(i, &stations));
+                }
+            }
         }
+        epoch_shares
     }
 
     /// Run the fleet with `jobs` worker threads sharding the span
-    /// traffic simulations (Phase B). The association event loop and the
-    /// medium arbitration stay serial — they are a tiny fraction of the
-    /// runtime — while every association span's [`LinkSimulator`] run is
-    /// a pure function of the spec seed and so shards freely. Span
-    /// results stream into per-client running sums whose merge is
-    /// commutative integer addition, which makes the outcome
+    /// traffic simulations (Phase B) on [`hint_sim::pool`]. Phase A (the
+    /// association event loop), Phase A' (the medium arbitration) and
+    /// the span arena run first, on the calling thread, while every
+    /// association span's [`LinkSimulator`] run is a pure function of
+    /// the spec seed and so shards freely. Span results fold into
+    /// per-client running sums in arena order, which makes the outcome
     /// **byte-identical for every `jobs` value**; `jobs == 1` (what
-    /// [`FleetScenario::run`] uses) takes a pool-free serial path.
+    /// [`FleetScenario::run`] uses) spawns no thread.
     ///
     /// # Panics
     ///
     /// Panics when `jobs == 0`.
     pub fn run_with_jobs(&self, jobs: usize) -> FleetOutcome {
-        assert!(jobs >= 1, "jobs must be >= 1");
-        let n_clients = self.spec.clients.len();
-        let n_aps = self.spec.aps.len();
+        let Some(workers) = NonZeroUsize::new(jobs) else {
+            panic!("jobs must be >= 1");
+        };
         let duration = self.spec.duration;
         let client_hints_on = !matches!(self.spec.hints, HintSpec::None);
-        let SpanPlan {
-            runs,
-            tasks,
-            epoch_shares,
-            ap_assoc_s,
-            ap_handoffs_in,
-            ap_wasted_s,
-            ap_evictions,
-            ap_busy_s,
-            ap_collision_s,
-            ap_collisions,
-        } = self.plan();
+        // Every stage adds its per-AP totals into these.
+        let mut aps: Vec<FleetApStats> = self
+            .faults
+            .ap_down
+            .iter()
+            .map(|down| FleetApStats {
+                down_s: ResolvedFaults::total_s(down),
+                ..FleetApStats::default()
+            })
+            .collect();
+        let runs = self.associate_fleet(&mut aps);
+        let epoch_shares = self.arbitrate(&runs, &mut aps);
+        let tasks = span_tasks(&runs, &mut aps);
 
         // Per-client streaming accumulators: O(clients) memory however
         // many spans the run produced.
-        let mut merged = vec![SimResult::empty(duration); n_clients];
+        let mut merged = vec![SimResult::empty(duration); runs.len()];
+        pool::map_ordered(
+            &tasks,
+            workers,
+            |task| self.simulate_span(task, &epoch_shares),
+            |i, result| merge_span(&mut merged[tasks[i].client], tasks[i].from, &result),
+        );
 
-        let workers = jobs.min(tasks.len().max(1));
-        if workers <= 1 {
-            for task in &tasks {
-                let result = self.simulate_span(task, &epoch_shares);
-                merge_span(&mut merged[task.client], task.from, &result);
-            }
-        } else {
-            // The runner-pool idiom: an atomic cursor hands out arena
-            // indices, finished results stream back over a channel, and
-            // the collector folds them as they land. The fold is a sum of
-            // integers into disjoint per-client slots, so arrival order —
-            // and therefore thread count — cannot change a single byte of
-            // the outcome.
-            let next = AtomicUsize::new(0);
-            let (tx, rx) = mpsc::channel::<(usize, SimResult)>();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let (next, tasks, shares) = (&next, &tasks, &epoch_shares);
-                    scope.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks.len() {
-                            break;
-                        }
-                        let result = self.simulate_span(&tasks[i], shares);
-                        if tx.send((i, result)).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx);
-                for (i, result) in rx {
-                    let task = &tasks[i];
-                    merge_span(&mut merged[task.client], task.from, &result);
-                }
-            });
-        }
-
-        let mut client_outcomes = Vec::with_capacity(n_clients);
-        for ((c, run), mut merged) in runs.iter().enumerate().zip(merged) {
+        let mut client_outcomes = Vec::with_capacity(runs.len());
+        for ((c, run), mut merged) in runs.into_iter().enumerate().zip(merged) {
             merged.goodput_bps = goodput_bps(
                 merged.packets_delivered * u64::from(self.spec.payload_bytes),
                 duration,
             );
             client_outcomes.push(FleetClientOutcome {
                 client: c,
-                aps_visited: run.aps_visited.clone(),
+                aps_visited: run.aps_visited,
                 handoffs: run.handoffs,
                 forced_handoffs: run.forced_handoffs,
                 outage: run.outage,
@@ -1240,18 +1175,7 @@ impl FleetScenario {
             jain_fairness: jain_index(&goodputs),
             aggregate_goodput_mbps: goodputs.iter().sum::<f64>() / 1e6,
             clients: client_outcomes,
-            aps: (0..n_aps)
-                .map(|a| FleetApStats {
-                    association_s: ap_assoc_s[a],
-                    handoffs_in: ap_handoffs_in[a],
-                    wasted_airtime_s: ap_wasted_s[a],
-                    contended_busy_s: ap_busy_s[a],
-                    collision_s: ap_collision_s[a],
-                    collisions: ap_collisions[a],
-                    down_s: ResolvedFaults::total_s(&self.faults.ap_down[a]),
-                    evictions: ap_evictions[a],
-                })
-                .collect(),
+            aps,
         }
     }
 
@@ -1259,11 +1183,7 @@ impl FleetScenario {
     /// compiled fleet, the task, and the Phase A' airtime shares — no
     /// mutable engine state — which is what lets Phase B shard the
     /// arena across threads.
-    fn simulate_span(
-        &self,
-        task: &SpanTask,
-        epoch_shares: &BTreeMap<(usize, u64, usize), f64>,
-    ) -> SimResult {
+    fn simulate_span(&self, task: &SpanTask, epoch_shares: &EpochShares) -> SimResult {
         let sim = self.span_link(task, epoch_shares);
         let mut adapter = (self.factory)(&self.spec.protocol.params());
         // A trace workload replays the records that fall inside this
@@ -1281,11 +1201,7 @@ impl FleetScenario {
     /// The link simulator one span runs on: the span's channel trace, its
     /// window of the client's hint stream, the AP's backhaul and the
     /// arbiter's airtime shares.
-    fn span_link(
-        &self,
-        task: &SpanTask,
-        epoch_shares: &BTreeMap<(usize, u64, usize), f64>,
-    ) -> LinkSimulator<'static> {
+    fn span_link(&self, task: &SpanTask, epoch_shares: &EpochShares) -> LinkSimulator<'static> {
         let &SpanTask {
             client: c,
             span_idx: k,
@@ -1459,11 +1375,14 @@ mod tests {
                 }
             }
 
-            let plan = fleet.plan();
-            assert!(plan.tasks.len() >= 5, "{} spans", plan.tasks.len());
-            assert!(plan.tasks.iter().any(|t| t.from > SimTime::ZERO));
-            for task in &plan.tasks {
-                let sim = fleet.span_link(task, &plan.epoch_shares);
+            let mut aps = vec![FleetApStats::default(); spec.aps.len()];
+            let runs = fleet.associate_fleet(&mut aps);
+            let shares = fleet.arbitrate(&runs, &mut aps);
+            let tasks = span_tasks(&runs, &mut aps);
+            assert!(tasks.len() >= 5, "{} spans", tasks.len());
+            assert!(tasks.iter().any(|t| t.from > SimTime::ZERO));
+            for task in &tasks {
+                let sim = fleet.span_link(task, &shares);
                 let got = sim.hint_stream().expect("hinted fleet");
                 let full = fleet.hints[task.client].as_ref().expect("sensor hints");
                 let span_us = task.to.saturating_since(task.from).as_micros();

@@ -1118,7 +1118,7 @@ pub struct FleetClientOutcome {
 /// by shared-medium runs; they serialize only when non-zero, so isolated
 /// outcomes — including every pre-contention golden file — stay
 /// byte-identical.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FleetApStats {
     /// Total client-association time, seconds (sums across clients, so
     /// it can exceed the run duration).

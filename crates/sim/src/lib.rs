@@ -15,12 +15,19 @@
 //!   simultaneous events.
 //! * [`series`] — time-series bucketing used to regenerate the paper's
 //!   time-axis figures (Figs. 4-1, 4-4..4-6, 5-1).
+//! * [`pool`] — the one worker pool ([`pool::map_ordered`]): independent
+//!   items run on scoped threads and their results come back in item
+//!   order, so the experiment battery and the fleet engine's span arena
+//!   produce the same bytes at any worker count.
 //!
-//! The whole reproduction is **synchronous and single-threaded by design**:
-//! the paper's methodology is trace-driven simulation, where determinism and
-//! replayability matter far more than wall-clock parallelism.
+//! Every simulation itself is **synchronous and single-threaded by
+//! design**: the paper's methodology is trace-driven simulation, where
+//! determinism and replayability matter far more than wall-clock
+//! parallelism. Parallelism lives only in [`pool`], across independent
+//! simulations.
 
 pub mod events;
+pub mod pool;
 pub mod rng;
 pub mod series;
 pub mod stats;
