@@ -50,11 +50,13 @@
 //!   shared media) and the span arena build in order, each a function
 //!   with a typed hand-off that adds its per-AP totals into the
 //!   outcome's [`FleetApStats`].
-//! * **Span arena + sharding** — Phase B shards the arena on
-//!   [`hint_sim::pool`]. Each span's simulation is a pure function of
-//!   the spec seed, and span results fold into per-client sums in arena
-//!   order (goodput is computed from the totals afterwards): the outcome
-//!   is **byte-identical for every worker count**.
+//! * **Span arena + sharding** — Phase A′ shards its contended (AP,
+//!   epoch) cells and Phase B its span arena on [`hint_sim::pool`]. Each
+//!   cell's arbitration and each span's simulation is a pure function of
+//!   the spec seed; cell results fold into per-AP sums in (AP, epoch)
+//!   order and span results into per-client sums in arena order (goodput
+//!   is computed from the totals afterwards): the outcome is
+//!   **byte-identical for every worker count**.
 //! * **Streaming accumulation** — span results merge into per-client
 //!   running sums as soon as every earlier span has landed (a result
 //!   that finishes ahead of a slower earlier span waits in the pool's
@@ -82,7 +84,6 @@ use hint_sensors::motion::{MotionProfile, MotionSegment};
 use hint_sim::{pool, EventQueue, RngStream, SimDuration, SimTime};
 use hint_topology::spatial::{Disk, DiskIndex};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 
 /// Assumed receiver noise floor, dBm: scan-time RSSI is the link's mean
@@ -485,12 +486,52 @@ struct SpanTask {
     ap: usize,
 }
 
+/// One contended (AP, epoch) cell of Phase A': two or more clients on
+/// one medium during one scheduling epoch.
+struct ContendedCell {
+    ap: usize,
+    epoch: u64,
+    /// Epoch bounds, µs since the run start.
+    start_us: u64,
+    end_us: u64,
+    /// `(client, from_us, to_us)` per member, clients ascending: the
+    /// envelope of the client's association spans inside the epoch.
+    windows: Vec<(usize, u64, u64)>,
+}
+
 /// What Phase A' hands to Phase B: the airtime share the arbiter
-/// granted per `(ap, epoch, client)`. A BTreeMap (not a hash map):
-/// Phase B only point-reads it, but an ordered map keeps any future
-/// traversal deterministic by construction — the byte-identical
-/// contract `detlint` enforces.
-type EpochShares = BTreeMap<(usize, u64, usize), f64>;
+/// granted each member of each contended (AP, epoch) cell, as one flat
+/// table. `cells` lists the contended cells in (AP, epoch) order with
+/// where their members start in `shares`; a client absent from a cell
+/// is uncontended there. Only contended cells take room, so a spec with
+/// a tiny epoch costs no more memory than the arbitration itself.
+#[derive(Default)]
+struct EpochShares {
+    /// `(ap, epoch, first member)` per contended cell, ascending.
+    cells: Vec<(usize, u64, usize)>,
+    /// `(client, share)` per member, cell by cell, clients ascending.
+    shares: Vec<(usize, f64)>,
+    /// Medium accesses summed over every cell (exact work counter).
+    accesses: u64,
+    /// Backoff draws summed over every cell (exact work counter).
+    draws: u64,
+}
+
+impl EpochShares {
+    /// The share `client` was granted in cell `(ap, epoch)`, if that
+    /// cell was contended and the client was in it.
+    fn get(&self, ap: usize, epoch: u64, client: usize) -> Option<f64> {
+        let k = self
+            .cells
+            .binary_search_by_key(&(ap, epoch), |&(a, e, _)| (a, e))
+            .ok()?;
+        let end = self.cells.get(k + 1).map_or(self.shares.len(), |c| c.2);
+        self.shares[self.cells[k].2..end]
+            .iter()
+            .find(|&&(c, _)| c == client)
+            .map(|&(_, share)| share)
+    }
+}
 
 /// Fold one span's simulation result into its client's running sums.
 /// Every operation is a commutative integer addition (goodput is
@@ -553,13 +594,10 @@ impl FleetScenario {
         let env = spec.environment.resolve();
         let policy = spec.policy().expect("validated above"); // detlint::allow(PANIC001): validate_with succeeded two lines up
         let contention = spec.contention().expect("validated above"); // detlint::allow(PANIC001): validate_with succeeded above
-        let arbiter_params = ContentionParams {
-            slot: spec.medium.slot,
-            difs: spec.medium.difs,
-            cw_min: spec.medium.cw_min,
-            cw_max: spec.medium.cw_max,
-            ..ContentionParams::ieee80211a()
-        };
+        let arbiter_params = spec
+            .medium
+            .contention_params()
+            .map_err(ScenarioError::BadFleet)?;
         let protocol_name = registry
             .canonical_name(&spec.protocol.name)
             // detlint::allow(PANIC001): validate_with resolved this name above
@@ -1007,97 +1045,144 @@ impl FleetScenario {
     /// throttles its span traffic in Phase B. Epochs with at most one
     /// client bypass the arbiter (the paper's uncontended back-to-back
     /// sender), so a one-client fleet behaves like an isolated one.
-    /// Adds each AP's contended busy and collision airtime into `aps`.
-    fn arbitrate(&self, runs: &[ClientRun], aps: &mut [FleetApStats]) -> EpochShares {
-        let mut epoch_shares = EpochShares::new();
+    ///
+    /// The contended cells are independent (each derives its own seed),
+    /// so they shard on [`hint_sim::pool`]; results fold in (AP, epoch)
+    /// order, which keeps each AP's f64 busy and collision sums — added
+    /// into `aps` — byte-identical at any worker count.
+    fn arbitrate(
+        &self,
+        runs: &[ClientRun],
+        aps: &mut [FleetApStats],
+        workers: NonZeroUsize,
+    ) -> EpochShares {
+        let mut table = EpochShares::default();
         if self.contention != ContentionMode::Shared {
-            return epoch_shares;
+            return table;
         }
-        let duration = self.spec.duration;
+        let cells = self.contended_cells(runs, aps.len());
+        let medium_root = RngStream::new(self.spec.seed).derive("fleet-medium");
+        let arbiter = AirtimeArbiter::new(self.arbiter_params);
+        pool::map_ordered(
+            &cells,
+            workers,
+            |cell| {
+                let stations = self.cell_stations(cell);
+                let seed = medium_root
+                    .derive_idx("ap", cell.ap as u64)
+                    .derive_idx("epoch", cell.epoch)
+                    .seed();
+                let epoch = SimDuration::from_micros(cell.end_us - cell.start_us);
+                let sched = arbiter.arbitrate_totals(epoch, &stations, seed);
+                let shares: Vec<f64> = (0..stations.len())
+                    .map(|i| sched.share(i, &stations))
+                    .collect();
+                (sched, shares)
+            },
+            |i, (sched, shares)| {
+                let cell = &cells[i];
+                let ap = &mut aps[cell.ap];
+                ap.contended_busy_s += sched.busy().as_secs_f64();
+                ap.collision_s += sched.collision_airtime.as_secs_f64();
+                ap.collisions += sched.collisions;
+                table.accesses += sched.accesses;
+                table.draws += sched.draws;
+                table.cells.push((cell.ap, cell.epoch, table.shares.len()));
+                let members = cell.windows.iter().map(|w| w.0);
+                table.shares.extend(members.zip(shares));
+            },
+        );
+        table
+    }
+
+    /// Every (AP, epoch) cell with two or more associated clients, in
+    /// (AP, epoch) order.
+    fn contended_cells(&self, runs: &[ClientRun], n_aps: usize) -> Vec<ContendedCell> {
+        let duration_us = self.spec.duration.as_micros();
         let epoch_us = self.spec.medium.epoch.as_micros();
-        let mut ap_spans: Vec<Vec<(usize, SimTime, SimTime)>> = vec![Vec::new(); aps.len()];
+        // Spans per AP, clients ascending (runs are in client order).
+        let mut ap_spans: Vec<Vec<(usize, u64, u64)>> = vec![Vec::new(); n_aps];
         for (c, run) in runs.iter().enumerate() {
             for &(from, to, ap) in &run.spans {
                 if to > from {
-                    ap_spans[ap].push((c, from, to));
+                    ap_spans[ap].push((c, from.as_micros(), to.as_micros()));
                 }
             }
         }
-        let medium_root = RngStream::new(self.spec.seed).derive("fleet-medium");
-        let arbiter = AirtimeArbiter::new(self.arbiter_params);
-        let n_epochs = duration.as_micros().div_ceil(epoch_us);
-        for (a, spans) in ap_spans.iter().enumerate() {
+        let mut cells = Vec::new();
+        for (ap, spans) in ap_spans.iter().enumerate() {
             if spans.is_empty() {
                 continue;
             }
-            let ap_pos = Position {
-                x: self.spec.aps[a].x_m,
-                y: self.spec.aps[a].y_m,
-            };
-            for e in 0..n_epochs {
-                let e_start = e * epoch_us;
-                let e_end = ((e + 1) * epoch_us).min(duration.as_micros());
-                // Per-client association window inside this epoch
-                // (multiple spans merge to their envelope), in client
-                // order so station indices are deterministic.
-                let mut windows: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
+            for epoch in 0..duration_us.div_ceil(epoch_us) {
+                let start_us = epoch * epoch_us;
+                let end_us = ((epoch + 1) * epoch_us).min(duration_us);
+                // A client's spans inside the epoch merge to their
+                // envelope; spans arrive client by client.
+                let mut windows: Vec<(usize, u64, u64)> = Vec::new();
                 for &(c, from, to) in spans {
-                    let f = from.as_micros().max(e_start);
-                    let t = to.as_micros().min(e_end);
-                    if t > f {
-                        let w = windows.entry(c).or_insert((f, t));
-                        w.0 = w.0.min(f);
-                        w.1 = w.1.max(t);
+                    let (f, t) = (from.max(start_us), to.min(end_us));
+                    if t <= f {
+                        continue;
+                    }
+                    match windows.last_mut() {
+                        Some(w) if w.0 == c => {
+                            w.1 = w.1.min(f);
+                            w.2 = w.2.max(t);
+                        }
+                        _ => windows.push((c, f, t)),
                     }
                 }
-                if windows.len() < 2 {
-                    continue; // uncontended epoch
-                }
-                let members: Vec<usize> = windows.keys().copied().collect();
-                let stations: Vec<Station> = members
-                    .iter()
-                    .map(|&c| {
-                        let (f, t) = windows[&c];
-                        // Nominal operating rate from the link SNR at
-                        // the window midpoint (RBAR-style decision).
-                        let mid = SimTime::from_micros((f + t) / 2);
-                        let dist = self.paths[c].position_at(mid).distance(ap_pos);
-                        let snr = link_snr_db(&self.env, dist, self.spec.aps[a].coverage_m);
-                        let rate = best_rate_for_snr(snr, CONTENTION_RATE_TARGET);
-                        Station {
-                            frame_airtime: MacTiming::ieee80211a()
-                                .exchange_airtime(rate, self.spec.payload_bytes),
-                            active_from: SimDuration::from_micros(f - e_start),
-                            active_to: SimDuration::from_micros(t - e_start),
-                        }
-                    })
-                    .collect();
-                let seed = medium_root
-                    .derive_idx("ap", a as u64)
-                    .derive_idx("epoch", e)
-                    .seed();
-                let sched =
-                    arbiter.arbitrate(SimDuration::from_micros(e_end - e_start), &stations, seed);
-                aps[a].contended_busy_s += sched.busy().as_secs_f64();
-                aps[a].collision_s += sched.collision_airtime.as_secs_f64();
-                aps[a].collisions += sched.collisions;
-                for (i, &c) in members.iter().enumerate() {
-                    epoch_shares.insert((a, e, c), sched.share(i, &stations));
+                if windows.len() >= 2 {
+                    cells.push(ContendedCell {
+                        ap,
+                        epoch,
+                        start_us,
+                        end_us,
+                        windows,
+                    });
                 }
             }
         }
-        epoch_shares
+        cells
     }
 
-    /// Run the fleet with `jobs` worker threads sharding the span
-    /// traffic simulations (Phase B) on [`hint_sim::pool`]. Phase A (the
-    /// association event loop), Phase A' (the medium arbitration) and
-    /// the span arena run first, on the calling thread, while every
-    /// association span's [`LinkSimulator`] run is a pure function of
-    /// the spec seed and so shards freely. Span results fold into
-    /// per-client running sums in arena order, which makes the outcome
-    /// **byte-identical for every `jobs` value**; `jobs == 1` (what
-    /// [`FleetScenario::run`] uses) spawns no thread.
+    /// The arbiter's stations for one contended cell, in client order.
+    fn cell_stations(&self, cell: &ContendedCell) -> Vec<Station> {
+        let ap = &self.spec.aps[cell.ap];
+        let ap_pos = Position {
+            x: ap.x_m,
+            y: ap.y_m,
+        };
+        cell.windows
+            .iter()
+            .map(|&(c, f, t)| {
+                // Nominal operating rate from the link SNR at the window
+                // midpoint (RBAR-style decision).
+                let mid = SimTime::from_micros((f + t) / 2);
+                let dist = self.paths[c].position_at(mid).distance(ap_pos);
+                let snr = link_snr_db(&self.env, dist, ap.coverage_m);
+                let rate = best_rate_for_snr(snr, CONTENTION_RATE_TARGET);
+                Station {
+                    frame_airtime: MacTiming::ieee80211a()
+                        .exchange_airtime(rate, self.spec.payload_bytes),
+                    active_from: SimDuration::from_micros(f - cell.start_us),
+                    active_to: SimDuration::from_micros(t - cell.start_us),
+                }
+            })
+            .collect()
+    }
+
+    /// Run the fleet with `jobs` worker threads on [`hint_sim::pool`].
+    /// Phase A (the association event loop) and the span arena build
+    /// run on the calling thread. Phase A' (the medium arbitration)
+    /// shards its contended (AP, epoch) cells, and Phase B its
+    /// association spans: each cell's arbitration and each span's
+    /// [`LinkSimulator`] run is a pure function of the spec seed.
+    /// Results fold in item order — cells in (AP, epoch) order, spans in
+    /// arena order — which makes the outcome **byte-identical for every
+    /// `jobs` value**; `jobs == 1` (what [`FleetScenario::run`] uses)
+    /// spawns no thread.
     ///
     /// # Panics
     ///
@@ -1119,7 +1204,7 @@ impl FleetScenario {
             })
             .collect();
         let runs = self.associate_fleet(&mut aps);
-        let epoch_shares = self.arbitrate(&runs, &mut aps);
+        let epoch_shares = self.arbitrate(&runs, &mut aps, workers);
         let tasks = span_tasks(&runs, &mut aps);
 
         // Per-client streaming accumulators: O(clients) memory however
@@ -1252,10 +1337,7 @@ impl FleetScenario {
             let span_shares: Vec<f64> = (0..n_secs)
                 .map(|s| {
                     let t_us = from.as_micros() + s as u64 * 1_000_000;
-                    epoch_shares
-                        .get(&(ap_id, t_us / epoch_us, c))
-                        .copied()
-                        .unwrap_or(1.0)
+                    epoch_shares.get(ap_id, t_us / epoch_us, c).unwrap_or(1.0)
                 })
                 .collect();
             sim = sim.with_airtime_shares(span_shares);
@@ -1377,7 +1459,7 @@ mod tests {
 
             let mut aps = vec![FleetApStats::default(); spec.aps.len()];
             let runs = fleet.associate_fleet(&mut aps);
-            let shares = fleet.arbitrate(&runs, &mut aps);
+            let shares = fleet.arbitrate(&runs, &mut aps, NonZeroUsize::MIN);
             let tasks = span_tasks(&runs, &mut aps);
             assert!(tasks.len() >= 5, "{} spans", tasks.len());
             assert!(tasks.iter().any(|t| t.from > SimTime::ZERO));
@@ -1635,6 +1717,31 @@ mod tests {
             .expect("valid")
             .run();
         assert_eq!(a, again);
+    }
+
+    /// Phase A''s exact work on the checked-in contended office: the
+    /// arbiter's accesses and backoff draws, at any worker count. The
+    /// counts pin "same draws, same order" for any rewrite of the loop.
+    #[test]
+    fn contended_office_arbitration_work_is_pinned() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/fleet_contended_office.json"
+        );
+        let spec = FleetSpec::load(std::path::Path::new(path)).expect("spec loads");
+        let fleet = FleetScenario::compile(&spec).expect("valid");
+        let mut aps = vec![FleetApStats::default(); spec.aps.len()];
+        let runs = fleet.associate_fleet(&mut aps);
+        for workers in [1, 2, 4] {
+            let mut aps = aps.clone();
+            let workers = NonZeroUsize::new(workers).expect("non-zero");
+            let shares = fleet.arbitrate(&runs, &mut aps, workers);
+            assert_eq!(
+                (shares.accesses, shares.draws),
+                (91_333, 337_981),
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

@@ -31,23 +31,86 @@ use crate::timing::MacTiming;
 use hint_sim::{RngStream, SimDuration};
 
 /// DCF parameters of the shared medium.
+///
+/// Built only through [`ContentionParams::new`] (or the 802.11a
+/// constants), so every value an arbiter sees can make progress: a
+/// positive slot and DIFS, `cw_min <= cw_max`, and at least one attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ContentionParams {
-    /// Backoff slot time (9 µs for 802.11a).
-    pub slot: SimDuration,
-    /// DCF interframe space paid before every backoff countdown.
-    pub difs: SimDuration,
-    /// Minimum contention window, slots (first attempt draws from
-    /// `[0, cw_min]`).
-    pub cw_min: u32,
-    /// Maximum contention window, slots (doubling caps here).
-    pub cw_max: u32,
-    /// Transmission attempts a frame gets before it is dropped and the
-    /// window resets (802.11's retry limit).
-    pub max_attempts: u32,
+    slot: SimDuration,
+    difs: SimDuration,
+    cw_min: u32,
+    cw_max: u32,
+    max_attempts: u32,
 }
 
+/// Why [`ContentionParams::new`] refused a parameter set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ContentionParamsError {
+    /// The backoff slot is zero: a backoff could never elapse.
+    ZeroSlot,
+    /// DIFS is zero: an access could take no time at all.
+    ZeroDifs,
+    /// `cw_min` exceeds `cw_max`.
+    InvertedWindow {
+        /// The minimum contention window given.
+        cw_min: u32,
+        /// The maximum contention window given.
+        cw_max: u32,
+    },
+    /// No transmission attempt is allowed.
+    ZeroAttempts,
+}
+
+impl std::fmt::Display for ContentionParamsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ContentionParamsError::ZeroSlot => write!(f, "contention slot time must be > 0"),
+            ContentionParamsError::ZeroDifs => write!(f, "contention DIFS must be > 0"),
+            ContentionParamsError::InvertedWindow { cw_min, cw_max } => {
+                write!(f, "cw_min {cw_min} exceeds cw_max {cw_max}")
+            }
+            ContentionParamsError::ZeroAttempts => write!(f, "max_attempts must be > 0"),
+        }
+    }
+}
+
+impl std::error::Error for ContentionParamsError {}
+
 impl ContentionParams {
+    /// DCF parameters: the backoff `slot`, the `difs` paid before every
+    /// countdown, the contention window range `[cw_min, cw_max]` in slots
+    /// (a first attempt draws from `[0, cw_min]`, doubling caps at
+    /// `cw_max`), and the `max_attempts` a frame gets before it is
+    /// dropped and the window resets (802.11's retry limit).
+    pub fn new(
+        slot: SimDuration,
+        difs: SimDuration,
+        cw_min: u32,
+        cw_max: u32,
+        max_attempts: u32,
+    ) -> Result<ContentionParams, ContentionParamsError> {
+        if slot.is_zero() {
+            return Err(ContentionParamsError::ZeroSlot);
+        }
+        if difs.is_zero() {
+            return Err(ContentionParamsError::ZeroDifs);
+        }
+        if cw_min > cw_max {
+            return Err(ContentionParamsError::InvertedWindow { cw_min, cw_max });
+        }
+        if max_attempts == 0 {
+            return Err(ContentionParamsError::ZeroAttempts);
+        }
+        Ok(ContentionParams {
+            slot,
+            difs,
+            cw_min,
+            cw_max,
+            max_attempts,
+        })
+    }
+
     /// Standard 802.11a DCF parameters, consistent with
     /// [`MacTiming::ieee80211a`] and the default [`RetryPolicy`].
     pub fn ieee80211a() -> Self {
@@ -131,8 +194,13 @@ pub struct GrantSchedule {
     pub idle: SimDuration,
     /// Number of collision events.
     pub collisions: u32,
-    /// Frames abandoned after [`ContentionParams::max_attempts`].
+    /// Frames abandoned after the retry limit (`max_attempts` in
+    /// [`ContentionParams::new`]).
     pub dropped_frames: u32,
+    /// Medium accesses: backoff rounds among a non-empty active set.
+    pub accesses: u64,
+    /// Backoff draws: one uniform per active station per access.
+    pub draws: u64,
 }
 
 impl GrantSchedule {
@@ -192,22 +260,108 @@ pub struct AirtimeArbiter {
     params: ContentionParams,
 }
 
+/// One station in the active set, with its DCF state. A station's
+/// window is one interval, so it joins the set once and leaves it once:
+/// its state can live here rather than in a per-station table.
+#[derive(Clone, Copy, Debug)]
+struct Contender {
+    station: usize,
+    airtime: SimDuration,
+    /// End of the station's window, clipped to the epoch.
+    until: SimDuration,
+    cw: u32,
+    /// `cw + 1` as f64: the scale of the backoff draw.
+    draw_scale: f64,
+    /// `53 - log2(cw + 1)` when `cw + 1` is a power of two, else
+    /// [`INEXACT`]: see [`Contender::draw`].
+    shift: u32,
+    attempts: u32,
+    /// This access's backoff, in slots.
+    backoff: u64,
+}
+
+/// [`Contender::shift`] when `cw + 1` is not a power of two.
+const INEXACT: u32 = u32::MAX;
+
+impl Contender {
+    /// A station joining the set with contention window `cw`.
+    fn new(station: usize, airtime: SimDuration, until: SimDuration, cw: u32) -> Contender {
+        let mut c = Contender {
+            station,
+            airtime,
+            until,
+            cw,
+            draw_scale: 0.0,
+            shift: 0,
+            attempts: 0,
+            backoff: 0,
+        };
+        c.set_cw(cw);
+        c
+    }
+
+    fn set_cw(&mut self, cw: u32) {
+        let span = u64::from(cw) + 1;
+        self.cw = cw;
+        self.draw_scale = span as f64;
+        self.shift = if span.is_power_of_two() {
+            53 - span.trailing_zeros()
+        } else {
+            INEXACT
+        };
+    }
+
+    /// The backoff `floor(u * (cw + 1))`, capped at `cw`, for the uniform
+    /// `u = bits / 2^53` ([`RngStream::uniform`]'s value for
+    /// [`RngStream::uniform_bits`]). When `cw + 1 = 2^k` the product is
+    /// exact (a power-of-two scale only moves the exponent), so its floor
+    /// is `bits >> (53 - k)`, which never exceeds `cw`: the float path's
+    /// value, bit for bit, without the int/float round trip.
+    #[inline]
+    fn draw(&self, bits: u64) -> u64 {
+        if self.shift != INEXACT {
+            return bits >> self.shift;
+        }
+        let u = bits as f64 / (1u64 << 53) as f64;
+        ((u * self.draw_scale) as u64).min(u64::from(self.cw))
+    }
+}
+
+/// Rebuild `active` as the stations whose window holds `t`, in station
+/// order, keeping the DCF state of those already in it (`spare` is the
+/// second buffer). Returns the next instant the set can change.
+fn refresh_active(
+    active: &mut Vec<Contender>,
+    spare: &mut Vec<Contender>,
+    stations: &[Station],
+    epoch: SimDuration,
+    t: SimDuration,
+    cw_min: u32,
+) -> SimDuration {
+    spare.clear();
+    let mut next = epoch;
+    let mut old = active.iter().peekable();
+    for (i, s) in stations.iter().enumerate() {
+        let until = s.active_to.min(epoch);
+        if s.active_from > t {
+            next = next.min(s.active_from);
+            continue;
+        }
+        if t >= until {
+            continue;
+        }
+        next = next.min(until);
+        while old.next_if(|c| c.station < i).is_some() {}
+        let joined = Contender::new(i, s.frame_airtime, until, cw_min);
+        spare.push(old.next_if(|c| c.station == i).copied().unwrap_or(joined));
+    }
+    std::mem::swap(active, spare);
+    next
+}
+
 impl AirtimeArbiter {
     /// An arbiter with the given DCF parameters.
-    ///
-    /// # Panics
-    /// Panics if `slot` is zero, `cw_min > cw_max`, or `max_attempts` is
-    /// zero — spec-level validation rejects these before an arbiter is
-    /// ever built, so hitting this is a programming error.
     pub fn new(params: ContentionParams) -> AirtimeArbiter {
-        assert!(!params.slot.is_zero(), "contention slot time must be > 0");
-        assert!(
-            params.cw_min <= params.cw_max,
-            "cw_min {} exceeds cw_max {}",
-            params.cw_min,
-            params.cw_max
-        );
-        assert!(params.max_attempts > 0, "max_attempts must be > 0");
         AirtimeArbiter { params }
     }
 
@@ -219,21 +373,32 @@ impl AirtimeArbiter {
     /// Arbitrate one epoch among `stations`, deterministically from
     /// `seed`: same params + epoch + stations + seed ⇒ the identical
     /// [`GrantSchedule`], grant for grant.
-    ///
-    /// # Panics
-    /// Panics if any station has a zero `frame_airtime` (the arbitration
-    /// loop could not make progress).
     pub fn arbitrate(&self, epoch: SimDuration, stations: &[Station], seed: u64) -> GrantSchedule {
-        for (i, s) in stations.iter().enumerate() {
-            assert!(
-                !s.frame_airtime.is_zero(),
-                "station {i} has zero frame airtime"
-            );
-        }
+        self.run(epoch, stations, seed, true)
+    }
+
+    /// [`AirtimeArbiter::arbitrate`] without the grant log: the same
+    /// draws in the same order and the same totals, with
+    /// [`GrantSchedule::grants`] left empty.
+    pub fn arbitrate_totals(
+        &self,
+        epoch: SimDuration,
+        stations: &[Station],
+        seed: u64,
+    ) -> GrantSchedule {
+        self.run(epoch, stations, seed, false)
+    }
+
+    fn run(
+        &self,
+        epoch: SimDuration,
+        stations: &[Station],
+        seed: u64,
+        record: bool,
+    ) -> GrantSchedule {
+        let p = &self.params;
         let mut rng = RngStream::new(seed).derive("contention");
         let n = stations.len();
-        let mut cw: Vec<u32> = vec![self.params.cw_min; n];
-        let mut attempts: Vec<u32> = vec![0; n];
         let mut out = GrantSchedule {
             epoch,
             grants: Vec::new(),
@@ -242,17 +407,18 @@ impl AirtimeArbiter {
             idle: SimDuration::ZERO,
             collisions: 0,
             dropped_frames: 0,
+            accesses: 0,
+            draws: 0,
         };
 
         let mut t = SimDuration::ZERO;
-        let mut active: Vec<usize> = Vec::with_capacity(n);
-        let mut backoffs: Vec<u64> = Vec::with_capacity(n);
+        let mut active: Vec<Contender> = Vec::with_capacity(n);
+        let mut spare: Vec<Contender> = Vec::with_capacity(n);
+        let mut winners: Vec<usize> = Vec::with_capacity(n);
+        let mut next_edge = SimDuration::ZERO;
         while t < epoch {
-            active.clear();
-            for (i, s) in stations.iter().enumerate() {
-                if s.active_from <= t && t < s.active_to.min(epoch) {
-                    active.push(i);
-                }
+            if t >= next_edge {
+                next_edge = refresh_active(&mut active, &mut spare, stations, epoch, t, p.cw_min);
             }
             if active.is_empty() {
                 // Jump to the next activation (or the epoch end), all idle.
@@ -271,13 +437,22 @@ impl AirtimeArbiter {
             // Every active station counts down a fresh backoff; the
             // smallest draw wins the medium. Draws happen in station
             // order, so the schedule is a pure function of the seed.
-            backoffs.clear();
-            for &i in &active {
-                let draw = (rng.uniform() * (f64::from(cw[i]) + 1.0)) as u64;
-                backoffs.push(draw.min(u64::from(cw[i])));
+            out.accesses += 1;
+            out.draws += active.len() as u64;
+            let (mut min_backoff, mut argmin, mut ties) = (u64::MAX, 0, 0);
+            for (k, c) in active.iter_mut().enumerate() {
+                let b = c.draw(rng.uniform_bits());
+                c.backoff = b;
+                let lower = b < min_backoff;
+                ties = if lower {
+                    1
+                } else {
+                    ties + u32::from(b == min_backoff)
+                };
+                argmin = if lower { k } else { argmin };
+                min_backoff = min_backoff.min(b);
             }
-            let min_backoff = *backoffs.iter().min().expect("non-empty active set");
-            let access = self.params.difs + self.params.slot * min_backoff;
+            let access = p.difs + p.slot * min_backoff;
             if t + access >= epoch {
                 out.idle += epoch - t;
                 break;
@@ -287,59 +462,59 @@ impl AirtimeArbiter {
 
             // Stations whose active window closed during the DIFS+backoff
             // countdown leave without transmitting (and cannot collide).
-            let winners: Vec<usize> = active
-                .iter()
-                .zip(backoffs.iter())
-                .filter(|(_, &b)| b == min_backoff)
-                .map(|(&i, _)| i)
-                .filter(|&i| t < stations[i].active_to.min(epoch))
-                .collect();
-            if winners.is_empty() {
-                // Every winner's window closed mid-countdown.
-                continue;
-            }
-            if let [w] = winners.as_slice() {
-                let w = *w;
-                let tx = stations[w].frame_airtime;
-                if t + tx > epoch {
-                    // The frame cannot finish inside the epoch: the
-                    // station defers to the next one; the remainder idles.
-                    out.idle += epoch - t;
-                    break;
-                }
-                out.grants.push(Grant {
-                    station: w,
-                    at: t,
-                    airtime: tx,
-                });
-                out.granted[w] += tx;
-                t += tx;
-                cw[w] = self.params.cw_min;
-                attempts[w] = 0;
+            winners.clear();
+            if ties == 1 {
+                winners.push(argmin);
             } else {
-                // Collision: the medium is destroyed for the longest
-                // colliding frame; every collider doubles its window and
-                // burns one retry.
-                let longest = winners
-                    .iter()
-                    .map(|&i| stations[i].frame_airtime)
-                    .max()
-                    .expect("winners non-empty");
-                let cost = longest.min(epoch - t);
-                out.collision_airtime += cost;
-                out.collisions += 1;
-                t += cost;
-                for &i in &winners {
-                    attempts[i] += 1;
-                    if attempts[i] >= self.params.max_attempts {
-                        out.dropped_frames += 1;
-                        attempts[i] = 0;
-                        cw[i] = self.params.cw_min;
-                    } else {
-                        cw[i] = cw[i]
-                            .saturating_mul(2)
-                            .saturating_add(1)
-                            .min(self.params.cw_max);
+                winners.extend((0..active.len()).filter(|&k| active[k].backoff == min_backoff));
+            }
+            winners.retain(|&k| t < active[k].until);
+            match winners.as_slice() {
+                // Every winner's window closed mid-countdown.
+                [] => {}
+                &[w] => {
+                    let c = &mut active[w];
+                    if t + c.airtime > epoch {
+                        // The frame cannot finish inside the epoch: the
+                        // station defers to the next one; the remainder
+                        // idles.
+                        out.idle += epoch - t;
+                        break;
+                    }
+                    if record {
+                        out.grants.push(Grant {
+                            station: c.station,
+                            at: t,
+                            airtime: c.airtime,
+                        });
+                    }
+                    out.granted[c.station] += c.airtime;
+                    t += c.airtime;
+                    c.set_cw(p.cw_min);
+                    c.attempts = 0;
+                }
+                colliders => {
+                    // Collision: the medium is destroyed for the longest
+                    // colliding frame; every collider doubles its window
+                    // and burns one retry.
+                    let longest = colliders
+                        .iter()
+                        .map(|&k| active[k].airtime)
+                        .fold(SimDuration::ZERO, SimDuration::max);
+                    let cost = longest.min(epoch - t);
+                    out.collision_airtime += cost;
+                    out.collisions += 1;
+                    t += cost;
+                    for &k in colliders {
+                        let c = &mut active[k];
+                        c.attempts += 1;
+                        if c.attempts >= p.max_attempts {
+                            out.dropped_frames += 1;
+                            c.attempts = 0;
+                            c.set_cw(p.cw_min);
+                        } else {
+                            c.set_cw(c.cw.saturating_mul(2).saturating_add(1).min(p.cw_max));
+                        }
                     }
                 }
             }
@@ -460,21 +635,81 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cw_min")]
     fn inverted_backoff_window_is_rejected() {
-        let _ = AirtimeArbiter::new(ContentionParams {
-            cw_min: 63,
-            cw_max: 15,
-            ..ContentionParams::ieee80211a()
-        });
+        let t = MacTiming::ieee80211a();
+        let err = ContentionParams::new(t.slot, t.difs, 63, 15, 4).unwrap_err();
+        assert_eq!(
+            err,
+            ContentionParamsError::InvertedWindow {
+                cw_min: 63,
+                cw_max: 15
+            }
+        );
+        assert!(err.to_string().contains("cw_min"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "slot time")]
     fn zero_slot_is_rejected() {
-        let _ = AirtimeArbiter::new(ContentionParams {
-            slot: SimDuration::ZERO,
-            ..ContentionParams::ieee80211a()
-        });
+        let t = MacTiming::ieee80211a();
+        let err = ContentionParams::new(SimDuration::ZERO, t.difs, 15, 1023, 4).unwrap_err();
+        assert_eq!(err, ContentionParamsError::ZeroSlot);
+        assert!(err.to_string().contains("slot time"), "{err}");
+    }
+
+    #[test]
+    fn zero_difs_and_zero_attempts_are_rejected() {
+        let t = MacTiming::ieee80211a();
+        assert_eq!(
+            ContentionParams::new(t.slot, SimDuration::ZERO, 15, 1023, 4),
+            Err(ContentionParamsError::ZeroDifs)
+        );
+        assert_eq!(
+            ContentionParams::new(t.slot, t.difs, 15, 1023, 0),
+            Err(ContentionParamsError::ZeroAttempts)
+        );
+        assert_eq!(
+            ContentionParams::new(t.slot, t.difs, 15, 1023, 4),
+            Ok(ContentionParams::ieee80211a())
+        );
+    }
+
+    /// The shift path of a power-of-two window draws exactly what the
+    /// float path draws, at every window size up to `u32::MAX`.
+    #[test]
+    fn exact_draw_matches_float_draw() {
+        let mut rng = RngStream::new(3);
+        let mut bits: Vec<u64> = (0..2_000).map(|_| rng.uniform_bits()).collect();
+        bits.extend([0, 1, (1 << 52) - 1, 1 << 52, (1 << 53) - 1]);
+        let cws = (0..=32).map(|k| ((1u64 << k) - 1) as u32);
+        for cw in cws.chain([2, 10, 1000, u32::MAX - 1]) {
+            let c = Contender::new(0, SimDuration::ZERO, SimDuration::ZERO, cw);
+            assert_eq!(c.shift != INEXACT, (u64::from(cw) + 1).is_power_of_two());
+            for &b in &bits {
+                let u = b as f64 / (1u64 << 53) as f64;
+                let float = ((u * (f64::from(cw) + 1.0)) as u64).min(u64::from(cw));
+                assert_eq!(c.draw(b), float, "cw {cw} bits {b}");
+            }
+        }
+    }
+
+    /// DIFS is positive, so every access advances time: a station whose
+    /// frames take no airtime still lets the epoch run out, and every
+    /// microsecond is still accounted for.
+    #[test]
+    fn zero_airtime_station_terminates_and_conserves_airtime() {
+        let arb = AirtimeArbiter::new(ContentionParams::ieee80211a());
+        let epoch = SimDuration::from_millis(200);
+        let st = [
+            Station::saturated(SimDuration::ZERO),
+            Station::saturated(frame(BitRate::R54)),
+        ];
+        let s = arb.arbitrate(epoch, &st, 11);
+        assert_eq!(s.accounted(), epoch);
+        assert_eq!(s.granted[0], SimDuration::ZERO);
+        assert!(
+            s.grants.iter().any(|g| g.station == 0),
+            "station 0 wins too"
+        );
+        assert!(s.granted[1] > SimDuration::ZERO);
     }
 }

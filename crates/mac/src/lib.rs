@@ -33,7 +33,9 @@ pub mod rates;
 pub mod retry;
 pub mod timing;
 
-pub use contention::{AirtimeArbiter, ContentionParams, Grant, GrantSchedule, Station};
+pub use contention::{
+    AirtimeArbiter, ContentionParams, ContentionParamsError, Grant, GrantSchedule, Station,
+};
 pub use frames::{Frame, FrameKind};
 pub use hint_proto::{HintField, HintType, HintWire};
 pub use rates::BitRate;

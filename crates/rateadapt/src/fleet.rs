@@ -29,6 +29,8 @@ use crate::scenario::{
 use crate::sim::is_zero;
 use crate::workload::Workload;
 use hint_cc::BackhaulSpec;
+use hint_mac::contention::{ContentionParams, ContentionParamsError};
+use hint_mac::retry::RetryPolicy;
 use hint_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -324,6 +326,32 @@ impl MediumSpec {
         *self == MediumSpec::default()
     }
 
+    /// The DCF parameters this medium arbitrates with (802.11a's retry
+    /// limit), or an actionable message for the first one that cannot
+    /// make progress.
+    pub fn contention_params(&self) -> Result<ContentionParams, String> {
+        let max_attempts = RetryPolicy::default().max_attempts;
+        ContentionParams::new(self.slot, self.difs, self.cw_min, self.cw_max, max_attempts).map_err(
+            |e| match e {
+                ContentionParamsError::ZeroSlot => {
+                    "medium slot time must be positive (backoff could never elapse); \
+                     802.11a uses 9 us"
+                        .into()
+                }
+                ContentionParamsError::ZeroDifs => {
+                    "medium DIFS must be positive (channel access could never be sensed); \
+                     802.11a uses 34 us"
+                        .into()
+                }
+                ContentionParamsError::InvertedWindow { cw_min, cw_max } => format!(
+                    "medium backoff window min {cw_min} exceeds max {cw_max}; \
+                     cw_min must be <= cw_max"
+                ),
+                ContentionParamsError::ZeroAttempts => e.to_string(),
+            },
+        )
+    }
+
     /// Validate the medium parameters, returning an actionable message
     /// for the first inconsistency.
     pub fn validate(&self) -> Result<(), String> {
@@ -334,26 +362,7 @@ impl MediumSpec {
                 CONTENTION_MODE_NAMES.join(", ")
             ));
         }
-        if self.slot.is_zero() {
-            return Err(
-                "medium slot time must be positive (backoff could never elapse); \
-                 802.11a uses 9 us"
-                    .into(),
-            );
-        }
-        if self.difs.is_zero() {
-            return Err(
-                "medium DIFS must be positive (channel access could never be sensed); \
-                 802.11a uses 34 us"
-                    .into(),
-            );
-        }
-        if self.cw_min > self.cw_max {
-            return Err(format!(
-                "medium backoff window min {} exceeds max {}; cw_min must be <= cw_max",
-                self.cw_min, self.cw_max
-            ));
-        }
+        self.contention_params()?;
         if self.cw_max > MAX_MEDIUM_CW {
             return Err(format!(
                 "medium backoff window max {} exceeds the supported limit {MAX_MEDIUM_CW} \

@@ -128,7 +128,15 @@ impl RngStream {
     /// Draw a uniform f64 in `[0, 1)`.
     #[inline]
     pub fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        self.uniform_bits() as f64 / (1u64 << 53) as f64
+    }
+
+    /// The 53 random bits behind one [`RngStream::uniform`] draw:
+    /// `uniform()` is exactly `uniform_bits() as f64 / 2^53`, and either
+    /// call advances the stream by one step.
+    #[inline]
+    pub fn uniform_bits(&mut self) -> u64 {
+        self.next_u64() >> 11
     }
 
     /// Bernoulli draw with success probability `p` (clamped to `[0,1]`).
@@ -248,6 +256,16 @@ mod tests {
         for _ in 0..10_000 {
             let u = r.uniform();
             assert!((0.0..1.0).contains(&u));
+        }
+    }
+
+    #[test]
+    fn uniform_is_its_bits_over_two_to_the_53() {
+        let (mut a, mut b) = (RngStream::new(9), RngStream::new(9));
+        for _ in 0..1_000 {
+            let bits = b.uniform_bits();
+            assert!(bits < 1 << 53);
+            assert_eq!(a.uniform(), bits as f64 / (1u64 << 53) as f64);
         }
     }
 

@@ -14,6 +14,15 @@ fn scenario_run(args: &[&str]) -> Output {
         .expect("scenario_run executes")
 }
 
+fn golden(name: &str) -> Vec<u8> {
+    std::fs::read(
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("crates/bench/tests/golden")
+            .join(name),
+    )
+    .expect("golden reads")
+}
+
 fn checked_in_fleet() -> FleetSpec {
     FleetSpec::load(&Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios/fleet_office_walk.json"))
         .expect("checked-in fleet spec loads")
@@ -145,10 +154,26 @@ fn contended_spec_runs_cleanly_and_reports_contention() {
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("contention"), "{stdout}");
-    let out = scenario_run(&["scenarios/fleet_contended_office.json", "--json"]);
-    assert!(out.status.success());
-    let outcome = FleetOutcome::from_json(&String::from_utf8_lossy(&out.stdout))
-        .expect("fleet outcome parses");
+    // The shared-medium outcome is the golden, byte for byte, at one
+    // worker and sharded: this pins the CSMA/CA arbiter's output.
+    let golden = golden("fleet_contended_office_outcome.json");
+    for jobs in ["1", "4"] {
+        let out = scenario_run(&[
+            "scenarios/fleet_contended_office.json",
+            "--json",
+            "--jobs",
+            jobs,
+        ]);
+        assert!(out.status.success(), "{out:?}");
+        assert!(
+            out.stdout == golden,
+            "--jobs {jobs} ({} bytes) diverged from the golden ({} bytes)",
+            out.stdout.len(),
+            golden.len()
+        );
+    }
+    let outcome =
+        FleetOutcome::from_json(&String::from_utf8_lossy(&golden)).expect("fleet outcome parses");
     assert_eq!(outcome.contention, "shared");
     assert!(outcome.aps[0].contended_busy_s > 0.0);
 }
@@ -166,6 +191,12 @@ fn sharded_fleet_json_is_byte_identical_and_metro_runs() {
         "--jobs 1 ({} bytes) and --jobs 4 ({} bytes) diverged",
         j1.stdout.len(),
         j4.stdout.len()
+    );
+    // Metro's windows open and close mid-epoch, so its golden pins the
+    // arbiter's window edges, which the contended office never crosses.
+    assert!(
+        j1.stdout == golden("fleet_metro_outcome.json"),
+        "metro diverged from its golden"
     );
     let outcome =
         FleetOutcome::from_json(&String::from_utf8_lossy(&j1.stdout)).expect("outcome parses");
