@@ -597,7 +597,7 @@ impl FleetScenario {
         let arbiter_params = spec
             .medium
             .contention_params()
-            .map_err(ScenarioError::BadFleet)?;
+            .map_err(|e| ScenarioError::BadFleet(e.to_string()))?;
         let protocol_name = registry
             .canonical_name(&spec.protocol.name)
             // detlint::allow(PANIC001): validate_with resolved this name above

@@ -62,15 +62,27 @@ pub enum ContentionParamsError {
     ZeroAttempts,
 }
 
+/// The messages a spec author sees (`MediumSpec::validate` in
+/// `hint-rateadapt` reports them as they are).
 impl std::fmt::Display for ContentionParamsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ContentionParamsError::ZeroSlot => write!(f, "contention slot time must be > 0"),
-            ContentionParamsError::ZeroDifs => write!(f, "contention DIFS must be > 0"),
-            ContentionParamsError::InvertedWindow { cw_min, cw_max } => {
-                write!(f, "cw_min {cw_min} exceeds cw_max {cw_max}")
+            ContentionParamsError::ZeroSlot => f.write_str(
+                "medium slot time must be positive (backoff could never elapse); \
+                 802.11a uses 9 us",
+            ),
+            ContentionParamsError::ZeroDifs => f.write_str(
+                "medium DIFS must be positive (channel access could never be sensed); \
+                 802.11a uses 34 us",
+            ),
+            ContentionParamsError::InvertedWindow { cw_min, cw_max } => write!(
+                f,
+                "medium backoff window min {cw_min} exceeds max {cw_max}; \
+                 cw_min must be <= cw_max"
+            ),
+            ContentionParamsError::ZeroAttempts => {
+                f.write_str("medium retry limit must be positive (a frame needs one attempt)")
             }
-            ContentionParamsError::ZeroAttempts => write!(f, "max_attempts must be > 0"),
         }
     }
 }
@@ -327,35 +339,30 @@ impl Contender {
     }
 }
 
-/// Rebuild `active` as the stations whose window holds `t`, in station
-/// order, keeping the DCF state of those already in it (`spare` is the
-/// second buffer). Returns the next instant the set can change.
+/// Bring `active` up to date at `t`: drop the stations whose window has
+/// closed and add, in station order, those whose window has opened (the
+/// others keep their DCF state). Returns the next instant the set can
+/// change.
 fn refresh_active(
     active: &mut Vec<Contender>,
-    spare: &mut Vec<Contender>,
     stations: &[Station],
     epoch: SimDuration,
     t: SimDuration,
     cw_min: u32,
 ) -> SimDuration {
-    spare.clear();
+    active.retain(|c| t < c.until);
     let mut next = epoch;
-    let mut old = active.iter().peekable();
     for (i, s) in stations.iter().enumerate() {
         let until = s.active_to.min(epoch);
         if s.active_from > t {
             next = next.min(s.active_from);
-            continue;
+        } else if t < until {
+            next = next.min(until);
+            if let Err(at) = active.binary_search_by_key(&i, |c| c.station) {
+                active.insert(at, Contender::new(i, s.frame_airtime, until, cw_min));
+            }
         }
-        if t >= until {
-            continue;
-        }
-        next = next.min(until);
-        while old.next_if(|c| c.station < i).is_some() {}
-        let joined = Contender::new(i, s.frame_airtime, until, cw_min);
-        spare.push(old.next_if(|c| c.station == i).copied().unwrap_or(joined));
     }
-    std::mem::swap(active, spare);
     next
 }
 
@@ -413,12 +420,11 @@ impl AirtimeArbiter {
 
         let mut t = SimDuration::ZERO;
         let mut active: Vec<Contender> = Vec::with_capacity(n);
-        let mut spare: Vec<Contender> = Vec::with_capacity(n);
         let mut winners: Vec<usize> = Vec::with_capacity(n);
         let mut next_edge = SimDuration::ZERO;
         while t < epoch {
             if t >= next_edge {
-                next_edge = refresh_active(&mut active, &mut spare, stations, epoch, t, p.cw_min);
+                next_edge = refresh_active(&mut active, stations, epoch, t, p.cw_min);
             }
             if active.is_empty() {
                 // Jump to the next activation (or the epoch end), all idle.

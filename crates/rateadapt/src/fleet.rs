@@ -327,29 +327,10 @@ impl MediumSpec {
     }
 
     /// The DCF parameters this medium arbitrates with (802.11a's retry
-    /// limit), or an actionable message for the first one that cannot
-    /// make progress.
-    pub fn contention_params(&self) -> Result<ContentionParams, String> {
+    /// limit), or the first one that cannot make progress.
+    pub fn contention_params(&self) -> Result<ContentionParams, ContentionParamsError> {
         let max_attempts = RetryPolicy::default().max_attempts;
-        ContentionParams::new(self.slot, self.difs, self.cw_min, self.cw_max, max_attempts).map_err(
-            |e| match e {
-                ContentionParamsError::ZeroSlot => {
-                    "medium slot time must be positive (backoff could never elapse); \
-                     802.11a uses 9 us"
-                        .into()
-                }
-                ContentionParamsError::ZeroDifs => {
-                    "medium DIFS must be positive (channel access could never be sensed); \
-                     802.11a uses 34 us"
-                        .into()
-                }
-                ContentionParamsError::InvertedWindow { cw_min, cw_max } => format!(
-                    "medium backoff window min {cw_min} exceeds max {cw_max}; \
-                     cw_min must be <= cw_max"
-                ),
-                ContentionParamsError::ZeroAttempts => e.to_string(),
-            },
-        )
+        ContentionParams::new(self.slot, self.difs, self.cw_min, self.cw_max, max_attempts)
     }
 
     /// Validate the medium parameters, returning an actionable message
@@ -362,7 +343,7 @@ impl MediumSpec {
                 CONTENTION_MODE_NAMES.join(", ")
             ));
         }
-        self.contention_params()?;
+        self.contention_params().map_err(|e| e.to_string())?;
         if self.cw_max > MAX_MEDIUM_CW {
             return Err(format!(
                 "medium backoff window max {} exceeds the supported limit {MAX_MEDIUM_CW} \
