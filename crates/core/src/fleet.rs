@@ -45,11 +45,11 @@
 //!   each scan considers only the APs whose coverage disks can contain
 //!   the client instead of all M (exact-equivalent to the brute-force
 //!   scan, property-tested in `hint-topology`).
-//! * **Staged engine** — [`FleetScenario::run_with_jobs`] runs Phase A
+//! * **Staged engine** — [`FleetScenario::run_counted`] runs Phase A
 //!   (the association event loop), Phase A′ (CSMA/CA arbitration of
 //!   shared media) and the span arena build in order, each a function
 //!   with a typed hand-off that adds its per-AP totals into the
-//!   outcome's [`FleetApStats`].
+//!   outcome's [`FleetApStats`] and its work into a [`FleetWork`].
 //! * **Span arena + sharding** — Phase A′ shards its contended (AP,
 //!   epoch) cells and Phase B its span arena on [`hint_sim::pool`]. Each
 //!   cell's arbitration and each span's simulation is a pure function of
@@ -68,7 +68,7 @@ use hint_ap::association::{predicted_dwell_s, should_handoff, ApCandidate, Clien
 use hint_ap::disassociation::DisassociationPolicy;
 use hint_channel::delivery::best_rate_for_snr;
 use hint_channel::{delivery_table, Environment, Trace};
-use hint_mac::contention::{AirtimeArbiter, ContentionParams, Station};
+use hint_mac::contention::{AirtimeArbiter, ContentionParams, GrantSchedule, Station};
 use hint_mac::hint_proto::HintField;
 use hint_mac::{BitRate, MacTiming};
 use hint_rateadapt::fleet::{
@@ -85,6 +85,7 @@ use hint_sim::{pool, EventQueue, RngStream, SimDuration, SimTime};
 use hint_topology::spatial::{Disk, DiskIndex};
 use std::borrow::Cow;
 use std::num::NonZeroUsize;
+use std::ops::AddAssign;
 
 /// Assumed receiver noise floor, dBm: scan-time RSSI is the link's mean
 /// SNR re-referenced to it.
@@ -399,6 +400,52 @@ fn ghost_airtime_s(
 }
 
 // ---------------------------------------------------------------------------
+// Work counters
+// ---------------------------------------------------------------------------
+
+/// The exact work one fleet run did, counted at the site that does each
+/// kind of it. Every field is a plain count and counts merge by integer
+/// addition, so the fold order — and hence the worker count — cannot
+/// change them: unlike wall time they are noise-free, and tests pin them
+/// exactly per checked-in spec.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FleetWork {
+    /// Compile: 2 ms reports of every hint stream synthesized.
+    pub hint_reports: u64,
+    /// Phase A: events popped from the association event queue.
+    pub events: u64,
+    /// Phase A: scans evaluated (a stale or blacked-out scan event is
+    /// popped but not evaluated).
+    pub scans: u64,
+    /// Phase A: AP ids the spatial index returned, summed over scans.
+    pub scan_aps: u64,
+    /// Phase A′: contended (AP, epoch) cells arbitrated.
+    pub cells: u64,
+    /// Phase A′: medium accesses the arbiter simulated.
+    pub accesses: u64,
+    /// Phase A′: backoff draws the arbiter made.
+    pub draws: u64,
+    /// Phase B: association spans simulated.
+    pub spans: u64,
+    /// Phase B: channel-trace slots generated.
+    pub trace_slots: u64,
+}
+
+impl AddAssign for FleetWork {
+    fn add_assign(&mut self, w: FleetWork) {
+        self.hint_reports += w.hint_reports;
+        self.events += w.events;
+        self.scans += w.scans;
+        self.scan_aps += w.scan_aps;
+        self.cells += w.cells;
+        self.accesses += w.accesses;
+        self.draws += w.draws;
+        self.spans += w.spans;
+        self.trace_slots += w.trace_slots;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Compiled fleet
 // ---------------------------------------------------------------------------
 
@@ -429,6 +476,8 @@ pub struct FleetScenario {
     index: DiskIndex,
     /// Resolved fault schedule (empty and inert for fault-free specs).
     faults: ResolvedFaults,
+    /// The work compile did (hint synthesis); every run reports it.
+    compile_work: FleetWork,
 }
 
 /// One scheduled engine event (the queue also pins the FIFO order of
@@ -511,10 +560,6 @@ struct EpochShares {
     cells: Vec<(usize, u64, usize)>,
     /// `(client, share)` per member, cell by cell, clients ascending.
     shares: Vec<(usize, f64)>,
-    /// Medium accesses summed over every cell (exact work counter).
-    accesses: u64,
-    /// Backoff draws summed over every cell (exact work counter).
-    draws: u64,
 }
 
 impl EpochShares {
@@ -551,6 +596,35 @@ fn merge_span(merged: &mut SimResult, from: SimTime, result: &SimResult) {
             *slot += n;
         }
     }
+}
+
+/// Client `i`'s full-run hint stream under `spec.hints` (`None` for a
+/// hint-oblivious fleet), its reports counted into `work`.
+fn client_hints(
+    spec: &FleetSpec,
+    i: usize,
+    client_seed: u64,
+    profile: &MotionProfile,
+    work: &mut FleetWork,
+) -> Option<HintStream> {
+    let stream = match &spec.hints {
+        HintSpec::None => return None,
+        HintSpec::Oracle { latency } => HintStream::oracle(profile, spec.duration, *latency),
+        HintSpec::Sensors { seed: explicit } => {
+            // Per-client accelerometer noise: the fleet-level explicit
+            // seed (if any) is mixed per client so two clients never
+            // share a noise stream.
+            let hint_seed = match explicit {
+                Some(s) => RngStream::new(*s)
+                    .derive_idx("fleet-hints", i as u64)
+                    .seed(),
+                None => client_seed ^ HINT_SEED_MASK,
+            };
+            HintStream::from_sensors(profile, spec.duration, hint_seed)
+        }
+    };
+    work.hint_reports += stream.len() as u64;
+    Some(stream)
 }
 
 /// The Phase B arena: one task per span long enough to simulate. Every
@@ -609,6 +683,7 @@ impl FleetScenario {
             .expect("validated above");
 
         let root = RngStream::new(spec.seed);
+        let mut compile_work = FleetWork::default();
         let mut profiles = Vec::with_capacity(spec.clients.len());
         let mut paths = Vec::with_capacity(spec.clients.len());
         let mut hints = Vec::with_capacity(spec.clients.len());
@@ -623,24 +698,7 @@ impl FleetScenario {
             );
             let seed = root.derive_idx("fleet-client", i as u64).seed();
             let profile = client.motion.profile(spec.duration);
-            let stream = match &spec.hints {
-                HintSpec::None => None,
-                HintSpec::Oracle { latency } => {
-                    Some(HintStream::oracle(&profile, spec.duration, *latency))
-                }
-                HintSpec::Sensors { seed: explicit } => {
-                    // Per-client accelerometer noise: the fleet-level
-                    // explicit seed (if any) is mixed per client so two
-                    // clients never share a noise stream.
-                    let hint_seed = match explicit {
-                        Some(s) => RngStream::new(*s)
-                            .derive_idx("fleet-hints", i as u64)
-                            .seed(),
-                        None => seed ^ HINT_SEED_MASK,
-                    };
-                    Some(HintStream::from_sensors(&profile, spec.duration, hint_seed))
-                }
-            };
+            let stream = client_hints(spec, i, seed, &profile, &mut compile_work);
             paths.push(ClientPath::new(
                 Position {
                     x: client.start_x_m,
@@ -678,6 +736,7 @@ impl FleetScenario {
             client_seeds,
             index,
             faults,
+            compile_work,
         })
     }
 
@@ -704,15 +763,19 @@ impl FleetScenario {
     /// query, so the set is byte-identical to a brute-force scan over
     /// all APs with the same filter (the index's brute-force-equivalence
     /// property is untouched). Both buffers are caller-owned scratch,
-    /// reused across every scan of the run.
+    /// reused across every scan of the run; the scan and the ids the
+    /// index returned count into `work`.
     fn candidates_into(
         &self,
         pos: Position,
         now: SimTime,
         ids: &mut Vec<usize>,
         out: &mut Vec<ApCandidate>,
+        work: &mut FleetWork,
     ) {
         self.index.covering_into(pos.x, pos.y, ids);
+        work.scans += 1;
+        work.scan_aps += ids.len() as u64;
         out.clear();
         out.extend(ids.iter().filter_map(|&id| {
             if self.faults.active && self.faults.ap_down(id, now) {
@@ -767,13 +830,14 @@ impl FleetScenario {
     /// Run the fleet. Each call replays the identical experiment: every
     /// stream is re-derived from the spec seed.
     pub fn run(&self) -> FleetOutcome {
-        self.run_with_jobs(1)
+        self.run_counted(NonZeroUsize::MIN).0
     }
 
     /// Phase A: the association/handoff event loop. Returns every
-    /// client's closed spans and counters, and adds each AP's handoff
-    /// arrivals, ghost airtime and evictions into `aps`.
-    fn associate_fleet(&self, aps: &mut [FleetApStats]) -> Vec<ClientRun> {
+    /// client's closed spans and counters, adds each AP's handoff
+    /// arrivals, ghost airtime and evictions into `aps`, and counts its
+    /// events and scans into `work`.
+    fn associate_fleet(&self, aps: &mut [FleetApStats], work: &mut FleetWork) -> Vec<ClientRun> {
         let n_clients = self.spec.clients.len();
         let end = SimTime::ZERO + self.spec.duration;
         let reassoc = self.spec.handoff.reassociation_cost;
@@ -832,6 +896,7 @@ impl FleetScenario {
         let mut cand_ids: Vec<usize> = Vec::new();
         let mut candidates: Vec<ApCandidate> = Vec::new();
         while let Some(ev) = queue.pop() {
+            work.events += 1;
             let now = ev.at;
             let c = match ev.event {
                 FleetEvent::Scan(c) => c,
@@ -926,7 +991,7 @@ impl FleetScenario {
                 heading_deg: profile.heading_at(now),
                 speed_mps: if moving { profile.speed_at(now) } else { 0.0 },
             };
-            self.candidates_into(pos, now, &mut cand_ids, &mut candidates);
+            self.candidates_into(pos, now, &mut cand_ids, &mut candidates, work);
 
             // The client tells its AP about its movement on every scan
             // frame (legacy fleets send no hint field, only presence —
@@ -1049,12 +1114,14 @@ impl FleetScenario {
     /// The contended cells are independent (each derives its own seed),
     /// so they shard on [`hint_sim::pool`]; results fold in (AP, epoch)
     /// order, which keeps each AP's f64 busy and collision sums — added
-    /// into `aps` — byte-identical at any worker count.
+    /// into `aps` — byte-identical at any worker count. Each cell's work
+    /// adds into `work`.
     fn arbitrate(
         &self,
         runs: &[ClientRun],
         aps: &mut [FleetApStats],
         workers: NonZeroUsize,
+        work: &mut FleetWork,
     ) -> EpochShares {
         let mut table = EpochShares::default();
         if self.contention != ContentionMode::Shared {
@@ -1067,32 +1134,50 @@ impl FleetScenario {
             &cells,
             workers,
             |cell| {
-                let stations = self.cell_stations(cell);
-                let seed = medium_root
-                    .derive_idx("ap", cell.ap as u64)
-                    .derive_idx("epoch", cell.epoch)
-                    .seed();
-                let epoch = SimDuration::from_micros(cell.end_us - cell.start_us);
-                let sched = arbiter.arbitrate_totals(epoch, &stations, seed);
-                let shares: Vec<f64> = (0..stations.len())
-                    .map(|i| sched.share(i, &stations))
-                    .collect();
-                (sched, shares)
+                let mut cell_work = FleetWork::default();
+                let (sched, shares) =
+                    self.arbitrate_cell(&arbiter, &medium_root, cell, &mut cell_work);
+                (sched, shares, cell_work)
             },
-            |i, (sched, shares)| {
+            |i, (sched, shares, cell_work)| {
                 let cell = &cells[i];
                 let ap = &mut aps[cell.ap];
                 ap.contended_busy_s += sched.busy().as_secs_f64();
                 ap.collision_s += sched.collision_airtime.as_secs_f64();
                 ap.collisions += sched.collisions;
-                table.accesses += sched.accesses;
-                table.draws += sched.draws;
+                *work += cell_work;
                 table.cells.push((cell.ap, cell.epoch, table.shares.len()));
                 let members = cell.windows.iter().map(|w| w.0);
                 table.shares.extend(members.zip(shares));
             },
         );
         table
+    }
+
+    /// Arbitrate one contended cell: the arbiter's schedule totals and
+    /// each member's granted share, in member order. The cell, its
+    /// accesses and its draws count into `work`.
+    fn arbitrate_cell(
+        &self,
+        arbiter: &AirtimeArbiter,
+        medium_root: &RngStream,
+        cell: &ContendedCell,
+        work: &mut FleetWork,
+    ) -> (GrantSchedule, Vec<f64>) {
+        let stations = self.cell_stations(cell);
+        let seed = medium_root
+            .derive_idx("ap", cell.ap as u64)
+            .derive_idx("epoch", cell.epoch)
+            .seed();
+        let epoch = SimDuration::from_micros(cell.end_us - cell.start_us);
+        let sched = arbiter.arbitrate_totals(epoch, &stations, seed);
+        work.cells += 1;
+        work.accesses += sched.accesses;
+        work.draws += sched.draws;
+        let shares = (0..stations.len())
+            .map(|i| sched.share(i, &stations))
+            .collect();
+        (sched, shares)
     }
 
     /// Every (AP, epoch) cell with two or more associated clients, in
@@ -1173,24 +1258,31 @@ impl FleetScenario {
             .collect()
     }
 
-    /// Run the fleet with `jobs` worker threads on [`hint_sim::pool`].
-    /// Phase A (the association event loop) and the span arena build
-    /// run on the calling thread. Phase A' (the medium arbitration)
-    /// shards its contended (AP, epoch) cells, and Phase B its
-    /// association spans: each cell's arbitration and each span's
-    /// [`LinkSimulator`] run is a pure function of the spec seed.
-    /// Results fold in item order — cells in (AP, epoch) order, spans in
-    /// arena order — which makes the outcome **byte-identical for every
-    /// `jobs` value**; `jobs == 1` (what [`FleetScenario::run`] uses)
-    /// spawns no thread.
+    /// Run the fleet with `jobs` worker threads: [`FleetScenario::run_counted`]
+    /// without the work counts.
     ///
     /// # Panics
     ///
     /// Panics when `jobs == 0`.
     pub fn run_with_jobs(&self, jobs: usize) -> FleetOutcome {
-        let Some(workers) = NonZeroUsize::new(jobs) else {
-            panic!("jobs must be >= 1");
-        };
+        // detlint::allow(PANIC001): the documented panic on zero jobs
+        let workers = NonZeroUsize::new(jobs).expect("jobs must be >= 1");
+        self.run_counted(workers).0
+    }
+
+    /// Run the fleet on `workers` threads of [`hint_sim::pool`] and count
+    /// its work. Phase A (the association event loop) and the span arena
+    /// build run on the calling thread. Phase A' (the medium arbitration)
+    /// shards its contended (AP, epoch) cells, and Phase B its
+    /// association spans: each cell's arbitration and each span's
+    /// [`LinkSimulator`] run is a pure function of the spec seed.
+    /// Results fold in item order — cells in (AP, epoch) order, spans in
+    /// arena order — which makes the outcome **byte-identical for every
+    /// worker count**; one worker (what [`FleetScenario::run`] uses)
+    /// spawns no thread. The [`FleetWork`] includes compile's hint
+    /// synthesis and is the same at any worker count too.
+    pub fn run_counted(&self, workers: NonZeroUsize) -> (FleetOutcome, FleetWork) {
+        let mut work = self.compile_work;
         let duration = self.spec.duration;
         let client_hints_on = !matches!(self.spec.hints, HintSpec::None);
         // Every stage adds its per-AP totals into these.
@@ -1203,8 +1295,8 @@ impl FleetScenario {
                 ..FleetApStats::default()
             })
             .collect();
-        let runs = self.associate_fleet(&mut aps);
-        let epoch_shares = self.arbitrate(&runs, &mut aps, workers);
+        let runs = self.associate_fleet(&mut aps, &mut work);
+        let epoch_shares = self.arbitrate(&runs, &mut aps, workers, &mut work);
         let tasks = span_tasks(&runs, &mut aps);
 
         // Per-client streaming accumulators: O(clients) memory however
@@ -1214,7 +1306,10 @@ impl FleetScenario {
             &tasks,
             workers,
             |task| self.simulate_span(task, &epoch_shares),
-            |i, result| merge_span(&mut merged[tasks[i].client], tasks[i].from, &result),
+            |i, (result, span_work)| {
+                merge_span(&mut merged[tasks[i].client], tasks[i].from, &result);
+                work += span_work;
+            },
         );
 
         let mut client_outcomes = Vec::with_capacity(runs.len());
@@ -1249,7 +1344,7 @@ impl FleetScenario {
             .iter()
             .map(|c| c.outcome.result.goodput_bps)
             .collect();
-        FleetOutcome {
+        let outcome = FleetOutcome {
             environment: self.env.name.clone(),
             protocol: self.protocol_name.clone(),
             policy: self.policy.name().to_string(),
@@ -1261,15 +1356,20 @@ impl FleetScenario {
             aggregate_goodput_mbps: goodputs.iter().sum::<f64>() / 1e6,
             clients: client_outcomes,
             aps,
-        }
+        };
+        (outcome, work)
     }
 
     /// Simulate one association span's traffic: a pure function of the
     /// compiled fleet, the task, and the Phase A' airtime shares — no
     /// mutable engine state — which is what lets Phase B shard the
-    /// arena across threads.
-    fn simulate_span(&self, task: &SpanTask, epoch_shares: &EpochShares) -> SimResult {
-        let sim = self.span_link(task, epoch_shares);
+    /// arena across threads. Returns the span's work with its result.
+    fn simulate_span(&self, task: &SpanTask, epoch_shares: &EpochShares) -> (SimResult, FleetWork) {
+        let mut work = FleetWork {
+            spans: 1,
+            ..FleetWork::default()
+        };
+        let sim = self.span_link(task, epoch_shares, &mut work);
         let mut adapter = (self.factory)(&self.spec.protocol.params());
         // A trace workload replays the records that fall inside this
         // span, rebased to span-local time, so a client's recorded
@@ -1280,13 +1380,18 @@ impl FleetScenario {
             )),
             w => Cow::Borrowed(w),
         };
-        sim.run(adapter.as_mut(), &workload)
+        (sim.run(adapter.as_mut(), &workload), work)
     }
 
     /// The link simulator one span runs on: the span's channel trace, its
     /// window of the client's hint stream, the AP's backhaul and the
-    /// arbiter's airtime shares.
-    fn span_link(&self, task: &SpanTask, epoch_shares: &EpochShares) -> LinkSimulator<'static> {
+    /// arbiter's airtime shares. The trace's slots count into `work`.
+    fn span_link(
+        &self,
+        task: &SpanTask,
+        epoch_shares: &EpochShares,
+        work: &mut FleetWork,
+    ) -> LinkSimulator<'static> {
         let &SpanTask {
             client: c,
             span_idx: k,
@@ -1315,6 +1420,7 @@ impl FleetScenario {
             .derive_idx("fleet-span", k as u64)
             .seed();
         let trace = Trace::generate(&span_env, &span_profile, span, span_seed);
+        work.trace_slots += trace.len() as u64;
         let mut sim = LinkSimulator::from_trace(trace).with_payload(self.spec.payload_bytes);
         // The adapter reads the same hint stream the scans read: the
         // client's one detector, windowed to this span.
@@ -1458,13 +1564,14 @@ mod tests {
             }
 
             let mut aps = vec![FleetApStats::default(); spec.aps.len()];
-            let runs = fleet.associate_fleet(&mut aps);
-            let shares = fleet.arbitrate(&runs, &mut aps, NonZeroUsize::MIN);
+            let mut work = FleetWork::default();
+            let runs = fleet.associate_fleet(&mut aps, &mut work);
+            let shares = fleet.arbitrate(&runs, &mut aps, NonZeroUsize::MIN, &mut work);
             let tasks = span_tasks(&runs, &mut aps);
             assert!(tasks.len() >= 5, "{} spans", tasks.len());
             assert!(tasks.iter().any(|t| t.from > SimTime::ZERO));
             for task in &tasks {
-                let sim = fleet.span_link(task, &shares);
+                let sim = fleet.span_link(task, &shares, &mut work);
                 let got = sim.hint_stream().expect("hinted fleet");
                 let full = fleet.hints[task.client].as_ref().expect("sensor hints");
                 let span_us = task.to.saturating_since(task.from).as_micros();
@@ -1731,13 +1838,14 @@ mod tests {
         let spec = FleetSpec::load(std::path::Path::new(path)).expect("spec loads");
         let fleet = FleetScenario::compile(&spec).expect("valid");
         let mut aps = vec![FleetApStats::default(); spec.aps.len()];
-        let runs = fleet.associate_fleet(&mut aps);
+        let runs = fleet.associate_fleet(&mut aps, &mut FleetWork::default());
         for workers in [1, 2, 4] {
             let mut aps = aps.clone();
             let workers = NonZeroUsize::new(workers).expect("non-zero");
-            let shares = fleet.arbitrate(&runs, &mut aps, workers);
+            let mut work = FleetWork::default();
+            fleet.arbitrate(&runs, &mut aps, workers, &mut work);
             assert_eq!(
-                (shares.accesses, shares.draws),
+                (work.accesses, work.draws),
                 (91_333, 337_981),
                 "{workers} workers"
             );

@@ -24,6 +24,7 @@ use sensor_hints::mac::BitRate;
 use sensor_hints::rateadapt::fleet::FleetSpec;
 use sensor_hints::rateadapt::protocols::registry::ProtocolRegistry;
 use sensor_hints::rateadapt::scenario::ScenarioSpec;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
 const USAGE: &str =
@@ -58,7 +59,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path: Option<&str> = None;
     let mut json = false;
-    let mut jobs: usize = 1;
+    let mut jobs = NonZeroUsize::MIN;
     let mut validate = false;
     let mut record: Option<&str> = None;
     let mut iter = args.iter();
@@ -67,8 +68,8 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--validate" => validate = true,
             "--jobs" => {
-                jobs = match iter.next().map(|v| v.parse::<usize>()) {
-                    Some(Ok(n)) if n >= 1 => n,
+                jobs = match iter.next().map(|v| v.parse::<NonZeroUsize>()) {
+                    Some(Ok(n)) => n,
                     _ => {
                         eprintln!("scenario_run: --jobs needs an integer >= 1\n{USAGE}");
                         return ExitCode::from(2);
@@ -300,7 +301,7 @@ fn validate_fleet(path: &str, spec: &FleetSpec) -> ExitCode {
 /// Compile, run and print an already-parsed fleet spec. `jobs` worker
 /// threads shard the span simulations; any value prints the identical
 /// outcome (the engine's byte-identity contract).
-fn run_fleet(path: &str, spec: FleetSpec, json: bool, jobs: usize) -> ExitCode {
+fn run_fleet(path: &str, spec: FleetSpec, json: bool, jobs: NonZeroUsize) -> ExitCode {
     let fleet = match FleetScenario::compile(&spec) {
         Ok(f) => f,
         Err(e) => {
@@ -308,7 +309,7 @@ fn run_fleet(path: &str, spec: FleetSpec, json: bool, jobs: usize) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let outcome = fleet.run_with_jobs(jobs);
+    let (outcome, _) = fleet.run_counted(jobs);
 
     if json {
         println!("{}", outcome.to_json_pretty());
