@@ -7,8 +7,9 @@
 //! sharded Phase B actually carry the load. One second of simulated
 //! time covers 224 clients × 32 APs under a shared medium with the
 //! hint-aware handoff policy; the run completes in well under a second
-//! of wall-clock single-threaded (`fleet/metro_1s_224c_32ap` in
-//! `hot_paths` pins that), and the outcome is byte-identical for any
+//! of wall-clock single-threaded (`perfbench`'s `metro` workload times
+//! it; `tests/work_counts.rs` pins its exact work, such as the AP ids
+//! the spatial index returns), and the outcome is byte-identical for any
 //! `--jobs` value.
 //!
 //! The geometry is an 8 × 4 AP grid on a 100 m pitch with 75 m coverage

@@ -3,9 +3,8 @@
 //! The workspace's checked-in artifacts form a web of ownership that no
 //! compiler sees: scenario specs are only meaningful if a test replays
 //! them, golden outcomes are only maintainable if an `#[ignore]` regen
-//! test can rewrite them, benchmark ids are only gated if
-//! `BENCH_baseline.json` carries them, and battery jobs are only
-//! discoverable if `EXPERIMENTS.md` documents them. Each check here
+//! test can rewrite them, and battery jobs are only discoverable if
+//! `EXPERIMENTS.md` documents them. Each check here
 //! walks one of those edges in both directions and reports the strand
 //! that broke.
 
@@ -23,7 +22,6 @@ pub fn check_assets(root: &Path) -> Vec<Diagnostic> {
     check_scenarios(root, &corpus, &mut diags);
     check_traces(root, &corpus, &mut diags);
     check_goldens(root, &corpus, &mut diags);
-    check_bench_baseline(root, &mut diags);
     check_battery_docs(root, &mut diags);
     diags
 }
@@ -187,104 +185,7 @@ fn str_literal(s: &str) -> Option<String> {
     None
 }
 
-/// A3: `benches/hot_paths.rs` ids and `BENCH_baseline.json` entries
-/// cover each other.
-///
-/// Benchmarks registered through `benchmark_group("prefix")` run one
-/// function per runtime-chosen name, so the group is matched as a
-/// `prefix/` namespace rather than a literal id.
-fn check_bench_baseline(root: &Path, diags: &mut Vec<Diagnostic>) {
-    let bench_rel = "crates/bench/benches/hot_paths.rs";
-    let baseline_rel = "BENCH_baseline.json";
-    let Ok(bench_src) = std::fs::read_to_string(root.join(bench_rel)) else {
-        return;
-    };
-    let Ok(baseline_src) = std::fs::read_to_string(root.join(baseline_rel)) else {
-        return;
-    };
-
-    // (id, line) for literal registrations; (prefix, line) for groups.
-    let mut literal_ids: Vec<(String, usize)> = Vec::new();
-    let mut prefixes: Vec<(String, usize)> = Vec::new();
-    for (idx, line) in bench_src.lines().enumerate() {
-        if let Some(pos) = line.find("bench_function(") {
-            if let Some(id) = str_literal(&line[pos..]) {
-                literal_ids.push((id, idx + 1));
-            }
-        }
-        if let Some(pos) = line.find("benchmark_group(") {
-            if let Some(p) = str_literal(&line[pos..]) {
-                prefixes.push((p, idx + 1));
-            }
-        }
-    }
-    let mut baseline_ids: Vec<(String, usize)> = Vec::new();
-    for (idx, line) in baseline_src.lines().enumerate() {
-        // Entries are one-per-line: `"id": "..."` (any spacing).
-        if let Some(pos) = line.find("\"id\"") {
-            let after = &line[pos + 4..];
-            if let Some(colon) = after.find(':') {
-                if let Some(id) = str_literal(&after[colon..]) {
-                    baseline_ids.push((id, idx + 1));
-                }
-            }
-        }
-    }
-
-    for (id, line) in &literal_ids {
-        if !baseline_ids.iter().any(|(b, _)| b == id) {
-            diags.push(Diagnostic::new(
-                bench_rel,
-                *line,
-                RuleCode::Asset001,
-                format!(
-                    "hot-path benchmark `{id}` has no entry in {baseline_rel}: the perf \
-                     gate cannot see it — run the bench and record a baseline entry"
-                ),
-            ));
-        }
-    }
-    for (prefix, line) in &prefixes {
-        if !baseline_ids
-            .iter()
-            .any(|(b, _)| covered_by_prefix(b, prefix))
-        {
-            diags.push(Diagnostic::new(
-                bench_rel,
-                *line,
-                RuleCode::Asset001,
-                format!(
-                    "benchmark group `{prefix}` has no entries in {baseline_rel}: the perf \
-                     gate cannot see it — run the bench and record baseline entries"
-                ),
-            ));
-        }
-    }
-    for (id, line) in &baseline_ids {
-        let live = literal_ids.iter().any(|(l, _)| l == id)
-            || prefixes.iter().any(|(p, _)| covered_by_prefix(id, p));
-        if !live {
-            diags.push(Diagnostic::new(
-                baseline_rel,
-                *line,
-                RuleCode::Asset001,
-                format!(
-                    "baseline entry `{id}` matches no benchmark in {bench_rel}: the gate \
-                     would silently stop covering it — delete the stale entry or restore \
-                     the benchmark"
-                ),
-            ));
-        }
-    }
-}
-
-/// Does baseline id `id` live in group `prefix`?
-fn covered_by_prefix(id: &str, prefix: &str) -> bool {
-    id.strip_prefix(prefix)
-        .is_some_and(|rest| rest.starts_with('/'))
-}
-
-/// A4: every battery job name (`Job::new("name", …)` in the runner) is
+/// A3: every battery job name (`Job::new("name", …)` in the runner) is
 /// documented in `EXPERIMENTS.md`, where a backticked `` `name` `` or
 /// glob row (`` `ablation_*` ``) claims it.
 fn check_battery_docs(root: &Path, diags: &mut Vec<Diagnostic>) {
@@ -361,7 +262,7 @@ mod tests {
     #[test]
     fn str_literal_extraction() {
         assert_eq!(
-            str_literal(r#"bench_function("a/b (c)", |x| {"#).as_deref(),
+            str_literal(r#"Job::new("a/b (c)", |x| {"#).as_deref(),
             Some("a/b (c)")
         );
         assert_eq!(str_literal("no literal here"), None);
@@ -369,22 +270,6 @@ mod tests {
             str_literal(r#""esc \" aped""#).as_deref(),
             Some("esc \" aped")
         );
-    }
-
-    #[test]
-    fn prefix_coverage_requires_separator() {
-        assert!(covered_by_prefix(
-            "protocols/pick+report/RRAA",
-            "protocols/pick+report"
-        ));
-        assert!(!covered_by_prefix(
-            "protocols/pick+reporting",
-            "protocols/pick+report"
-        ));
-        assert!(!covered_by_prefix(
-            "protocols/pick+report",
-            "protocols/pick+report"
-        ));
     }
 
     #[test]

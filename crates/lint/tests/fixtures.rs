@@ -191,12 +191,6 @@ fn asset_violating_tree_golden_diagnostics() {
     assert_eq!(
         lines,
         vec![
-            "BENCH_baseline.json:5: ASSET001 baseline entry `stale/gone` matches no \
-             benchmark in crates/bench/benches/hot_paths.rs: the gate would silently stop \
-             covering it — delete the stale entry or restore the benchmark",
-            "crates/bench/benches/hot_paths.rs:5: ASSET001 hot-path benchmark \
-             `cov/unpinned` has no entry in BENCH_baseline.json: the perf gate cannot see it \
-             — run the bench and record a baseline entry",
             "crates/bench/src/runner.rs:6: ASSET001 battery job `undocumented_job` is not \
              documented in EXPERIMENTS.md: add a row (the index is the battery's only \
              discoverable catalogue — `run_all --filter` selects by these names)",
