@@ -14,7 +14,7 @@
 //! | [`RuleCode::Det002`] | wall-clock reads (`Instant::now`, `SystemTime`) outside the bench-runner allowlist |
 //! | [`RuleCode::Det003`] | RNG that bypasses the fleet-seed derivation tree (raw literal seeds, direct `rand` outside `sim::rng`) |
 //! | [`RuleCode::Panic001`] | `unwrap()`/`expect()` in spec-reachable modules without a written justification |
-//! | [`RuleCode::Asset001`] | cross-artifact drift: orphaned scenario specs, ownerless goldens, unpinned hot paths, undocumented battery jobs |
+//! | [`RuleCode::Asset001`] | cross-artifact drift: orphaned scenario specs and traces, ownerless goldens, undocumented battery jobs |
 //! | [`RuleCode::Allow001`] | malformed or reason-less allow directives |
 //!
 //! The pass is token/line-level by design — the offline shim set has no
@@ -68,7 +68,7 @@ pub enum RuleCode {
     Det003,
     /// `unwrap()`/`expect()` in a spec-reachable module.
     Panic001,
-    /// Cross-artifact coverage drift (specs, goldens, hot paths, jobs).
+    /// Cross-artifact coverage drift (specs, traces, goldens, jobs).
     Asset001,
     /// Malformed `detlint::allow` directive.
     Allow001,
