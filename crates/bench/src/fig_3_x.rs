@@ -13,7 +13,8 @@
 use crate::report::Report;
 use crate::rline;
 use hint_channel::Environment;
-use hint_rateadapt::evaluate::{evaluate, score_of, EvalConfig, ProtocolKind, ScenarioFamily};
+use hint_rateadapt::evaluate::{evaluate, score_of, EvalConfig, ScenarioFamily};
+use hint_rateadapt::protocols::ProtocolKind;
 use hint_rateadapt::Workload;
 use hint_sim::SimDuration;
 

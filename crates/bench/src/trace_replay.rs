@@ -20,7 +20,7 @@
 
 use crate::report::Report;
 use crate::rline;
-use hint_rateadapt::protocols::registry::ProtocolRegistry;
+use hint_rateadapt::protocols::ProtocolKind;
 use hint_rateadapt::scenario::{MotionSpec, ProtocolSpec, ScenarioBuilder, ScenarioSpec};
 use hint_rateadapt::trace::PacketTrace;
 use hint_rateadapt::Workload;
@@ -65,7 +65,7 @@ pub fn replay_scenario_spec(trace: PacketTrace) -> ScenarioSpec {
 }
 
 /// Run the record→replay experiment, returning its output as a
-/// [`Report`] plus the per-protocol replay goodputs in registry order
+/// [`Report`] plus the per-protocol replay goodputs in table order
 /// (the job-runner entry point).
 pub fn report() -> (Report, Vec<(String, f64)>) {
     let mut r = Report::new("fig_trace");
@@ -88,10 +88,9 @@ pub fn report() -> (Report, Vec<(String, f64)>) {
     );
     r.blank();
 
-    let registry = ProtocolRegistry::builtin_shared();
     let mut results = Vec::new();
     let mut rows = Vec::new();
-    for name in registry.names() {
+    for name in ProtocolKind::ALL.map(ProtocolKind::name) {
         let spec = ScenarioSpec {
             protocol: ProtocolSpec::named(name),
             ..replay_scenario_spec(trace.clone())
@@ -142,8 +141,7 @@ mod tests {
     #[test]
     fn report_covers_every_protocol() {
         let (r, results) = report();
-        let names = ProtocolRegistry::builtin_shared().names();
-        assert_eq!(results.len(), names.len());
+        assert_eq!(results.len(), ProtocolKind::ALL.len());
         for (name, goodput) in &results {
             assert!(r.text().contains(name.as_str()), "{name} missing");
             assert!(*goodput > 0.0, "{name} replayed nothing");

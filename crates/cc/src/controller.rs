@@ -5,9 +5,8 @@
 //! observe: an acknowledged packet (with its measured RTT), a loss
 //! inferred from later acks (fast-retransmit analog), and a
 //! retransmission timeout. The trait is object-safe so the flow
-//! simulator can hold `Box<dyn CongestionController>` built from a
-//! [`crate::registry::CcaRegistry`] name, exactly as rate-adaptation
-//! protocols are built from `ProtocolRegistry` names.
+//! simulator can hold the `Box<dyn CongestionController>` that
+//! [`crate::CcaSpec::build`] makes from a spec's controller name.
 
 use hint_sim::{SimDuration, SimTime};
 

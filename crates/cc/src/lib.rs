@@ -10,10 +10,9 @@
 //! * [`controller`] — the object-safe [`CongestionController`] trait plus
 //!   the two baseline controllers: [`Reno`] (slow start + AIMD) and
 //!   [`FixedWindow`] (a congestion-blind constant window).
-//! * [`registry`] — [`CcaSpec`] names a controller in serialized specs;
-//!   [`CcaRegistry`] maps names to factories, mirroring
-//!   `hint_rateadapt::ProtocolRegistry` (case-insensitive lookup,
-//!   canonical display names, actionable unknown-name errors).
+//! * [`cca`] — [`CcaSpec`] names a controller in serialized specs, and
+//!   [`CcaSpec::build`] makes it (case-insensitive lookup, an
+//!   unknown-name error that lists the known names).
 //! * [`rtt`] — Jacobson/Karels RTT estimation ([`RttEstimator`]) in
 //!   integer microseconds, feeding retransmission timeouts.
 //! * [`backhaul`] — [`BackhaulSpec`] (rate / propagation delay / queue
@@ -26,11 +25,11 @@
 //! `--jobs` because this layer adds no draws of its own.
 
 pub mod backhaul;
+pub mod cca;
 pub mod controller;
-pub mod registry;
 pub mod rtt;
 
 pub use backhaul::{BackhaulSpec, DropTailQueue};
+pub use cca::CcaSpec;
 pub use controller::{CongestionController, FixedWindow, Reno};
-pub use registry::{CcaRegistry, CcaSpec, UnknownCcaError};
 pub use rtt::RttEstimator;

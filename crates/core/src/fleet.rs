@@ -21,11 +21,11 @@
 //!   covering AP as an infinite dwell and stays put) and rides frames to
 //!   the AP, whose [`NeighborHints`] table decides how departures are
 //!   handled (the Fig. 5-1 ghost-airtime model, `hint_ap`'s
-//!   [`DisassociationPolicy`]).
+//!   [`hint_ap::disassociation::DisassociationPolicy`]).
 //! * **Traffic** — every association span runs a real
 //!   [`LinkSimulator`] over a trace whose mean SNR is offset by the
-//!   client's distance from its AP, with a fresh adapter from the
-//!   [`ProtocolRegistry`]; per-client results aggregate into the
+//!   client's distance from its AP, with a fresh adapter of the spec's
+//!   [`ProtocolKind`]; per-client results aggregate into the
 //!   [`FleetOutcome`].
 //!
 //! Scan ticks flow through `hint-sim`'s [`EventQueue`], whose FIFO
@@ -65,7 +65,6 @@
 
 use crate::neighbors::NeighborHints;
 use hint_ap::association::{predicted_dwell_s, should_handoff, ApCandidate, ClientMotion};
-use hint_ap::disassociation::DisassociationPolicy;
 use hint_channel::delivery::best_rate_for_snr;
 use hint_channel::{delivery_table, Environment, Trace};
 use hint_mac::contention::{AirtimeArbiter, ContentionParams, GrantSchedule, Station};
@@ -73,9 +72,9 @@ use hint_mac::hint_proto::HintField;
 use hint_mac::{BitRate, MacTiming};
 use hint_rateadapt::fleet::{
     jain_index, normalize_windows, ContentionMode, FleetApStats, FleetClientOutcome, FleetOutcome,
-    FleetSpec, HandoffPolicy, STALE_HINT_HOLD,
+    FleetSpec, HandoffPolicy, ResolvedFleet, STALE_HINT_HOLD,
 };
-use hint_rateadapt::protocols::registry::{AdapterFactory, ProtocolRegistry};
+use hint_rateadapt::protocols::ProtocolKind;
 use hint_rateadapt::scenario::{HintSpec, ScenarioError, ScenarioOutcome, HINT_SEED_MASK};
 use hint_rateadapt::sim::goodput_bps;
 use hint_rateadapt::{HintStream, LinkSimulator, SimResult, TraceSource, Workload};
@@ -380,22 +379,12 @@ fn ghost_airtime_s(
     end: SimTime,
     probe_airtime_s: f64,
 ) -> f64 {
-    let ghost_policy = if table.is_moving(c) {
-        DisassociationPolicy::HintAware {
-            probe_interval: PROBE_INTERVAL,
-        }
-    } else {
-        DisassociationPolicy::Timeout {
-            prune_after: PRUNE_AFTER,
-        }
-    };
     let window = end.saturating_since(now).min(PRUNE_AFTER);
-    match ghost_policy {
-        DisassociationPolicy::Timeout { .. } => window.as_secs_f64(),
-        DisassociationPolicy::HintAware { probe_interval } => {
-            let probes = (window.as_secs_f64() / probe_interval.as_secs_f64()).ceil();
-            probes * probe_airtime_s
-        }
+    if table.is_moving(c) {
+        let probes = (window.as_secs_f64() / PROBE_INTERVAL.as_secs_f64()).ceil();
+        probes * probe_airtime_s
+    } else {
+        window.as_secs_f64()
     }
 }
 
@@ -458,8 +447,7 @@ pub struct FleetScenario {
     policy: HandoffPolicy,
     contention: ContentionMode,
     arbiter_params: ContentionParams,
-    protocol_name: String,
-    factory: AdapterFactory,
+    protocol: ProtocolKind,
     profiles: Vec<MotionProfile>,
     paths: Vec<ClientPath>,
     /// Per-client workloads with trace-file sources resolved inline at
@@ -652,35 +640,15 @@ fn span_tasks(runs: &[ClientRun], aps: &mut [FleetApStats]) -> Vec<SpanTask> {
 }
 
 impl FleetScenario {
-    /// Validate and compile `spec` against the builtin protocol
-    /// registry.
+    /// Validate and compile `spec`.
     pub fn compile(spec: &FleetSpec) -> Result<FleetScenario, ScenarioError> {
-        Self::compile_with(spec, ProtocolRegistry::builtin_shared())
-    }
-
-    /// Validate and compile against an explicit registry (custom
-    /// protocols).
-    pub fn compile_with(
-        spec: &FleetSpec,
-        registry: &ProtocolRegistry,
-    ) -> Result<FleetScenario, ScenarioError> {
-        spec.validate_with(registry)?;
+        let ResolvedFleet {
+            protocol,
+            policy,
+            contention,
+            arbiter: arbiter_params,
+        } = spec.validate()?;
         let env = spec.environment.resolve();
-        let policy = spec.policy().expect("validated above"); // detlint::allow(PANIC001): validate_with succeeded two lines up
-        let contention = spec.contention().expect("validated above"); // detlint::allow(PANIC001): validate_with succeeded above
-        let arbiter_params = spec
-            .medium
-            .contention_params()
-            .map_err(|e| ScenarioError::BadFleet(e.to_string()))?;
-        let protocol_name = registry
-            .canonical_name(&spec.protocol.name)
-            // detlint::allow(PANIC001): validate_with resolved this name above
-            .expect("validated above")
-            .to_string();
-        let factory = registry
-            .factory(&spec.protocol.name)
-            // detlint::allow(PANIC001): validate_with resolved this name above
-            .expect("validated above");
 
         let root = RngStream::new(spec.seed);
         let mut compile_work = FleetWork::default();
@@ -727,8 +695,7 @@ impl FleetScenario {
             policy,
             contention,
             arbiter_params,
-            protocol_name,
-            factory,
+            protocol,
             profiles,
             paths,
             workloads,
@@ -752,7 +719,7 @@ impl FleetScenario {
 
     /// The canonical name of the protocol every client runs.
     pub fn protocol_name(&self) -> &str {
-        &self.protocol_name
+        self.protocol.name()
     }
 
     /// Scan-time candidate list: every AP whose coverage disk contains
@@ -1333,7 +1300,7 @@ impl FleetScenario {
                 scan_retries: run.scan_retries,
                 outcome: ScenarioOutcome {
                     environment: self.env.name.clone(),
-                    protocol: self.protocol_name.clone(),
+                    protocol: self.protocol.name().to_string(),
                     seed: self.client_seeds[c],
                     result: merged,
                 },
@@ -1346,7 +1313,7 @@ impl FleetScenario {
             .collect();
         let outcome = FleetOutcome {
             environment: self.env.name.clone(),
-            protocol: self.protocol_name.clone(),
+            protocol: self.protocol.name().to_string(),
             policy: self.policy.name().to_string(),
             contention: self.contention.name().to_string(),
             seed: self.spec.seed,
@@ -1370,7 +1337,7 @@ impl FleetScenario {
             ..FleetWork::default()
         };
         let sim = self.span_link(task, epoch_shares, &mut work);
-        let mut adapter = (self.factory)(&self.spec.protocol.params());
+        let mut adapter = self.protocol.build(&self.spec.protocol.params());
         // A trace workload replays the records that fall inside this
         // span, rebased to span-local time, so a client's recorded
         // schedule survives handoffs intact; Udp/Tcp borrow as-is.

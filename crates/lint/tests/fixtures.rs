@@ -151,7 +151,7 @@ fn panic001_golden_diagnostic_and_scope() {
 fn panic001_allow_with_reason_suppresses() {
     let src = "\
 pub fn f(spec: &Spec) {
-    // detlint::allow(PANIC001): validate_with succeeded two lines up
+    // detlint::allow(PANIC001): validate succeeded two lines up
     let _v = spec.policy().expect(\"validated\");
 }
 ";

@@ -8,66 +8,12 @@
 //! window parameter per scenario (Sec. 3.4); [`EvalConfig::samplerate_windows`]
 //! reproduces that bias by sweeping windows and keeping the best mean.
 
-use crate::protocols::registry::{ProtocolParams, ProtocolRegistry};
-use crate::protocols::RateAdapter;
+use crate::protocols::{ProtocolKind, ProtocolParams};
 use crate::scenario::{EnvironmentSpec, HintSpec, MotionSpec, Scenario, ScenarioSpec};
 use crate::workload::Workload;
 use hint_channel::Environment;
 use hint_sensors::MotionProfile;
 use hint_sim::{ci95, mean, SimDuration};
-
-/// The protocols under evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ProtocolKind {
-    /// The paper's mobile-optimised protocol (Sec. 3.1).
-    RapidSample,
-    /// Bicket's SampleRate.
-    SampleRate,
-    /// Wong et al.'s RRAA.
-    Rraa,
-    /// Holland et al.'s RBAR (SNR, instantaneous).
-    Rbar,
-    /// Judd et al.'s CHARM (SNR, averaged).
-    Charm,
-    /// The paper's hint-switched protocol (Sec. 3.2).
-    HintAware,
-}
-
-impl ProtocolKind {
-    /// All six protocols in the paper's presentation order.
-    pub const ALL: [ProtocolKind; 6] = [
-        ProtocolKind::HintAware,
-        ProtocolKind::RapidSample,
-        ProtocolKind::SampleRate,
-        ProtocolKind::Rraa,
-        ProtocolKind::Rbar,
-        ProtocolKind::Charm,
-    ];
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProtocolKind::RapidSample => "RapidSample",
-            ProtocolKind::SampleRate => "SampleRate",
-            ProtocolKind::Rraa => "RRAA",
-            ProtocolKind::Rbar => "RBAR",
-            ProtocolKind::Charm => "CHARM",
-            ProtocolKind::HintAware => "HintAware",
-        }
-    }
-
-    /// Instantiate a fresh adapter (SampleRate takes its window here).
-    ///
-    /// Delegates to the builtin [`ProtocolRegistry`] — `ProtocolKind` is
-    /// now a typed view over the same name → factory mapping the
-    /// [`crate::scenario`] API uses.
-    pub fn build(self, samplerate_window: SimDuration) -> Box<dyn RateAdapter> {
-        ProtocolRegistry::builtin_shared()
-            .build(self.name(), &ProtocolParams { samplerate_window })
-            // detlint::allow(PANIC001): every ProtocolKind name is a builtin registration
-            .expect("builtin registry carries all six paper protocols")
-    }
-}
 
 /// How traces are produced for one evaluation sweep: a *family* of
 /// per-trace scenarios, one [`MotionSpec`] per trace index. (The single-
@@ -264,7 +210,9 @@ pub fn evaluate(
                 let goodputs: Vec<f64> = scenarios
                     .iter()
                     .map(|scenario| {
-                        let mut adapter = kind.build(w);
+                        let mut adapter = kind.build(&ProtocolParams {
+                            samplerate_window: w,
+                        });
                         scenario.run_with(adapter.as_mut()).goodput_bps
                     })
                     .collect();

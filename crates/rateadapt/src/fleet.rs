@@ -22,14 +22,14 @@
 //! ⇒ byte-identical [`FleetOutcome`], regardless of how many worker
 //! threads the surrounding battery uses.
 
-use crate::protocols::registry::ProtocolRegistry;
+use crate::protocols::ProtocolKind;
 use crate::scenario::{
     EnvironmentSpec, HintSpec, MotionSpec, ProtocolSpec, ScenarioError, ScenarioOutcome,
 };
 use crate::sim::is_zero;
 use crate::workload::Workload;
 use hint_cc::BackhaulSpec;
-use hint_mac::contention::{ContentionParams, ContentionParamsError};
+use hint_mac::contention::ContentionParams;
 use hint_mac::retry::RetryPolicy;
 use hint_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -202,6 +202,11 @@ pub const CONTENTION_MODE_NAMES: [&str; 2] = ["isolated", "shared"];
 /// far below anything that could overflow the arbiter's arithmetic).
 pub const MAX_MEDIUM_CW: u32 = 65_535;
 
+/// Shortest accepted scheduling epoch. A span reads one arbitrated
+/// airtime share per trace second, so cells of a shorter epoch would be
+/// arbitrated and never read.
+pub const MIN_MEDIUM_EPOCH: SimDuration = SimDuration::from_secs(1);
+
 /// Largest supported fleet duration: 24 simulated hours. Far beyond any
 /// checked-in scenario, small enough that the engine's per-second
 /// accumulators and `SimTime` arithmetic can never overflow on a
@@ -314,11 +319,6 @@ impl MediumSpec {
         }
     }
 
-    /// The contention mode this spec selects, if the name is known.
-    pub fn mode(&self) -> Option<ContentionMode> {
-        ContentionMode::from_name(&self.contention)
-    }
-
     /// True when this is exactly the default (isolated, standard DCF)
     /// medium — used to keep pre-contention spec files serializing
     /// without a `medium` field.
@@ -326,24 +326,21 @@ impl MediumSpec {
         *self == MediumSpec::default()
     }
 
-    /// The DCF parameters this medium arbitrates with (802.11a's retry
-    /// limit), or the first one that cannot make progress.
-    pub fn contention_params(&self) -> Result<ContentionParams, ContentionParamsError> {
-        let max_attempts = RetryPolicy::default().max_attempts;
-        ContentionParams::new(self.slot, self.difs, self.cw_min, self.cw_max, max_attempts)
-    }
-
-    /// Validate the medium parameters, returning an actionable message
-    /// for the first inconsistency.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.mode().is_none() {
+    /// Validate the medium parameters, returning the contention mode and
+    /// the DCF parameters (802.11a's retry limit) they select, or an
+    /// actionable message for the first inconsistency.
+    pub fn validate(&self) -> Result<(ContentionMode, ContentionParams), String> {
+        let Some(mode) = ContentionMode::from_name(&self.contention) else {
             return Err(format!(
                 "unknown medium contention mode `{}` (known: {})",
                 self.contention,
                 CONTENTION_MODE_NAMES.join(", ")
             ));
-        }
-        self.contention_params().map_err(|e| e.to_string())?;
+        };
+        let max_attempts = RetryPolicy::default().max_attempts;
+        let params =
+            ContentionParams::new(self.slot, self.difs, self.cw_min, self.cw_max, max_attempts)
+                .map_err(|e| e.to_string())?;
         if self.cw_max > MAX_MEDIUM_CW {
             return Err(format!(
                 "medium backoff window max {} exceeds the supported limit {MAX_MEDIUM_CW} \
@@ -356,7 +353,14 @@ impl MediumSpec {
                 "medium scheduling epoch must be positive (airtime is arbitrated per epoch)".into(),
             );
         }
-        Ok(())
+        if self.epoch < MIN_MEDIUM_EPOCH {
+            return Err(format!(
+                "medium.epoch {} is below the {MIN_MEDIUM_EPOCH} minimum (each span reads one \
+                 airtime share per second, so a shorter epoch is arbitrated but never read)",
+                self.epoch
+            ));
+        }
+        Ok((mode, params))
     }
 }
 
@@ -661,7 +665,7 @@ pub struct FleetSpec {
     /// Root seed; per-client and per-association-span streams derive
     /// from it, so the whole fleet is replayable from this one number.
     pub seed: u64,
-    /// Rate-adaptation protocol every client runs, by registry name.
+    /// Rate-adaptation protocol every client runs, by name.
     pub protocol: ProtocolSpec,
     /// Movement-hint feed (gates rate adaptation *and* handoff: with
     /// `None`, the hint policies degrade to signal-strength behaviour).
@@ -706,19 +710,28 @@ impl Default for FleetSpec {
     }
 }
 
+/// The named choices of a valid [`FleetSpec`], resolved once by
+/// [`FleetSpec::validate`] for the engine's compile to consume.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ResolvedFleet {
+    /// The protocol every client runs.
+    pub protocol: ProtocolKind,
+    /// The association/handoff policy.
+    pub policy: HandoffPolicy,
+    /// Whether co-associated clients contend for their AP's airtime.
+    pub contention: ContentionMode,
+    /// The DCF parameters shared media arbitrate with.
+    pub arbiter: ContentionParams,
+}
+
 impl FleetSpec {
     /// Start a builder with the default spec (no APs or clients yet).
     pub fn builder() -> FleetBuilder {
         FleetBuilder::default()
     }
 
-    /// Validate against the builtin protocol registry.
-    pub fn validate(&self) -> Result<(), ScenarioError> {
-        self.validate_with(ProtocolRegistry::builtin_shared())
-    }
-
-    /// Validate against an explicit registry (custom protocols).
-    pub fn validate_with(&self, registry: &ProtocolRegistry) -> Result<(), ScenarioError> {
+    /// Validate, returning the named choices the spec resolves to.
+    pub fn validate(&self) -> Result<ResolvedFleet, ScenarioError> {
         let bad = |msg: String| Err(ScenarioError::BadFleet(msg));
         if self.duration.is_zero() {
             return Err(ScenarioError::ZeroDuration);
@@ -800,12 +813,12 @@ impl FleetSpec {
                 return Err(ScenarioError::BadWorkload(format!("client {i}: {e}")));
             }
         }
-        if HandoffPolicy::from_name(&self.handoff.policy).is_none() {
+        let Some(policy) = HandoffPolicy::from_name(&self.handoff.policy) else {
             return Err(ScenarioError::UnknownHandoffPolicy {
                 name: self.handoff.policy.clone(),
                 known: HANDOFF_POLICY_NAMES.iter().map(|s| s.to_string()).collect(),
             });
-        }
+        };
         if self.handoff.scan_interval.is_zero() {
             return bad("handoff scan interval must be positive".into());
         }
@@ -828,33 +841,22 @@ impl FleetSpec {
                 self.handoff.reassociation_cost, self.handoff.scan_interval
             ));
         }
-        if let Err(msg) = self.medium.validate() {
-            return bad(msg);
-        }
+        let (contention, arbiter) = match self.medium.validate() {
+            Ok(medium) => medium,
+            Err(msg) => return bad(msg),
+        };
         if let Err(msg) = self
             .faults
             .validate(self.aps.len(), self.clients.len(), self.duration)
         {
             return bad(msg);
         }
-        if !registry.contains(&self.protocol.name) {
-            let e = registry.unknown(&self.protocol.name);
-            return Err(ScenarioError::UnknownProtocol {
-                name: e.name,
-                known: e.known,
-            });
-        }
-        Ok(())
-    }
-
-    /// The handoff policy this spec selects (call after validation).
-    pub fn policy(&self) -> Option<HandoffPolicy> {
-        HandoffPolicy::from_name(&self.handoff.policy)
-    }
-
-    /// The contention mode this spec selects (call after validation).
-    pub fn contention(&self) -> Option<ContentionMode> {
-        self.medium.mode()
+        Ok(ResolvedFleet {
+            protocol: self.protocol.kind()?,
+            policy,
+            contention,
+            arbiter,
+        })
     }
 
     /// Serialize to compact JSON.
@@ -985,7 +987,7 @@ impl FleetBuilder {
         self
     }
 
-    /// Select the fleet-wide protocol by registry name.
+    /// Select the fleet-wide protocol by name.
     pub fn protocol(mut self, name: impl Into<String>) -> Self {
         self.spec.protocol = ProtocolSpec::named(name);
         self
@@ -1051,7 +1053,7 @@ impl FleetBuilder {
         self.spec
     }
 
-    /// Validate against the builtin registry and return the spec.
+    /// Validate and return the spec.
     pub fn validate(self) -> Result<FleetSpec, ScenarioError> {
         self.spec.validate()?;
         Ok(self.spec)
@@ -1419,7 +1421,9 @@ mod tests {
     #[test]
     fn valid_fleet_validates_and_round_trips() {
         let spec = walking_fleet().validate().expect("valid fleet");
-        assert_eq!(spec.policy(), Some(HandoffPolicy::StrongestSignal));
+        let resolved = spec.validate().expect("valid fleet");
+        assert_eq!(resolved.policy, HandoffPolicy::StrongestSignal);
+        assert_eq!(resolved.protocol, ProtocolKind::RapidSample);
         let reparsed = FleetSpec::from_json(&spec.to_json_pretty()).expect("round-trips");
         assert_eq!(reparsed, spec);
     }
@@ -1610,7 +1614,8 @@ mod tests {
     #[test]
     fn medium_defaults_to_isolated_and_round_trips() {
         let spec = walking_fleet().validate().expect("valid fleet");
-        assert_eq!(spec.contention(), Some(ContentionMode::Isolated));
+        let resolved = spec.validate().expect("valid fleet");
+        assert_eq!(resolved.contention, ContentionMode::Isolated);
         // The default medium is skipped in JSON, so pre-contention spec
         // files and freshly saved defaults look identical…
         let json = spec.to_json_pretty();
@@ -1627,7 +1632,19 @@ mod tests {
             .medium(MediumSpec::shared())
             .validate()
             .expect("valid shared fleet");
-        assert_eq!(spec.contention(), Some(ContentionMode::Shared));
+        let resolved = spec.validate().expect("valid shared fleet");
+        assert_eq!(resolved.contention, ContentionMode::Shared);
+        assert_eq!(
+            resolved.arbiter,
+            ContentionParams::new(
+                SimDuration::from_micros(9),
+                SimDuration::from_micros(34),
+                15,
+                1023,
+                RetryPolicy::default().max_attempts,
+            )
+            .expect("802.11a DCF")
+        );
         let json = spec.to_json();
         assert!(json.contains("\"contention\":\"shared\""), "{json}");
         assert_eq!(FleetSpec::from_json(&json).expect("parses"), spec);
@@ -1682,6 +1699,20 @@ mod tests {
         });
         let msg = zero_epoch.validate().unwrap_err().to_string();
         assert!(msg.contains("epoch must be positive"), "{msg}");
+
+        // Spans read one share per second; finer epochs are rejected.
+        let sub_second_epoch = walking_fleet().medium(MediumSpec {
+            epoch: SimDuration::from_micros(100),
+            ..MediumSpec::shared()
+        });
+        let msg = sub_second_epoch.validate().unwrap_err().to_string();
+        assert!(msg.contains("medium.epoch"), "{msg}");
+        assert!(msg.contains("minimum"), "{msg}");
+        let one_second = walking_fleet().medium(MediumSpec {
+            epoch: SimDuration::from_secs(1),
+            ..MediumSpec::shared()
+        });
+        assert!(one_second.validate().is_ok());
 
         let zero_difs = walking_fleet().medium(MediumSpec {
             difs: SimDuration::ZERO,

@@ -41,7 +41,7 @@ pub mod workload;
 pub use fleet::{FleetBuilder, FleetOutcome, FleetSpec, HandoffPolicy};
 pub use hintstream::HintStream;
 pub use protocols::{
-    Charm, HintAware, ProtocolParams, ProtocolRegistry, RapidSample, RateAdapter, Rbar, Rraa,
+    Charm, HintAware, ProtocolKind, ProtocolParams, RapidSample, RateAdapter, Rbar, Rraa,
     SampleRate,
 };
 pub use scenario::{

@@ -2,6 +2,7 @@
 
 mod charm;
 mod hintaware;
+mod kind;
 mod rapidsample;
 mod rbar;
 pub mod registry;
@@ -10,9 +11,9 @@ mod samplerate;
 
 pub use charm::Charm;
 pub use hintaware::HintAware;
+pub use kind::{ProtocolKind, ProtocolParams};
 pub use rapidsample::RapidSample;
 pub use rbar::Rbar;
-pub use registry::{AdapterFactory, ProtocolParams, ProtocolRegistry};
 pub use rraa::Rraa;
 pub use samplerate::SampleRate;
 
@@ -28,18 +29,19 @@ use hint_sim::SimTime;
 /// and hint-aware protocols receive movement hints via the hint protocol.
 ///
 /// The trait is object-safe: simulators take `&mut dyn RateAdapter` and
-/// the [`registry::ProtocolRegistry`] hands adapters around as
-/// `Box<dyn RateAdapter>`, so custom protocols plug into every
-/// spec-driven experiment without touching this crate.
+/// [`ProtocolKind::build`] hands the six paper protocols out as
+/// `Box<dyn RateAdapter>`. Specs name only those six; any other adapter
+/// runs over a compiled scenario through
+/// [`crate::scenario::Scenario::run_with`].
 ///
-/// # Example: a custom adapter through the registry
+/// # Example: a custom adapter over a compiled scenario
 ///
-/// A minimal fixed-rate adapter, registered by name and run through the
-/// [`crate::scenario`] front door like any built-in protocol:
+/// A minimal fixed-rate adapter, run over the same trace, hints and
+/// workload a spec-selected protocol would see:
 ///
 /// ```
 /// use hint_mac::BitRate;
-/// use hint_rateadapt::protocols::{ProtocolRegistry, RateAdapter};
+/// use hint_rateadapt::protocols::RateAdapter;
 /// use hint_rateadapt::scenario::ScenarioBuilder;
 /// use hint_sim::{SimDuration, SimTime};
 ///
@@ -57,18 +59,14 @@ use hint_sim::SimTime;
 ///     fn reset(&mut self, _now: SimTime) {}
 /// }
 ///
-/// let mut registry = ProtocolRegistry::builtin();
-/// registry.register("fixed-6", |_params| Box::new(Fixed6));
-///
-/// let outcome = ScenarioBuilder::new()
+/// let scenario = ScenarioBuilder::new()
 ///     .duration(SimDuration::from_secs(2))
 ///     .seed(7)
-///     .protocol("fixed-6")
-///     .build_with(&registry)
-///     .expect("valid scenario")
-///     .run();
-/// assert_eq!(outcome.protocol, "fixed-6");
-/// assert!(outcome.result.goodput_bps > 0.0);
+///     .build()
+///     .expect("valid scenario");
+/// let result = scenario.run_with(&mut Fixed6);
+/// assert!(result.goodput_bps > 0.0);
+/// assert_eq!(result.rate_usage[BitRate::R6.index()], result.attempts);
 /// ```
 pub trait RateAdapter {
     /// Short name used in result tables.

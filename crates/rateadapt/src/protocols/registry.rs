@@ -1,276 +1,38 @@
-//! Name → adapter-factory registry.
+//! Name → adapter-constructor lookup, as a view over [`ProtocolKind`].
 //!
-//! The [`crate::scenario`] API selects protocols **by name** so a
-//! serialized [`crate::scenario::ScenarioSpec`] can say
-//! `"protocol": {"name": "RapidSample"}` and mean the same thing in every
-//! binary. The registry maps those names to boxed [`RateAdapter`]
-//! factories: the six paper protocols come pre-registered
-//! ([`ProtocolRegistry::builtin`]), and downstream code can
-//! [`ProtocolRegistry::register`] its own adapters without touching this
-//! crate — the trait is object-safe by design.
-//!
-//! Lookups are case-insensitive (`"rapidsample"`, `"RapidSample"` and
-//! `"RAPIDSAMPLE"` all resolve), but each entry keeps one canonical
-//! display name, which is what outcomes and tables print.
+//! [`ProtocolKind`] is the one protocol table; this view keeps the
+//! `builtin_shared().factory(name)` shape for callers that hold a name
+//! and want a constructor to call with [`ProtocolParams`].
 
-use super::{Charm, HintAware, RapidSample, RateAdapter, Rbar, Rraa, SampleRate};
-use hint_sim::SimDuration;
-use std::fmt;
-use std::sync::{Arc, OnceLock};
+use super::{ProtocolKind, ProtocolParams, RateAdapter};
 
-/// A lookup for a name no registered protocol answers to. The error
-/// carries (and displays) the registered names, so a failed CLI flag or
-/// spec field tells the caller what would have worked instead of sending
-/// them hunting for a `--list` flag.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UnknownProtocolError {
-    /// The name that failed to resolve.
-    pub name: String,
-    /// Canonical names of every registered protocol, in registration
-    /// order.
-    pub known: Vec<String>,
-}
-
-impl fmt::Display for UnknownProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown protocol `{}` (registered: {})",
-            self.name,
-            self.known.join(", ")
-        )
-    }
-}
-
-impl std::error::Error for UnknownProtocolError {}
-
-/// Tunables a factory may consult when instantiating an adapter.
-///
-/// Today that is only SampleRate's averaging window (which also
-/// parameterises the static arm of the hint-aware switcher); protocols
-/// that don't care ignore it.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ProtocolParams {
-    /// SampleRate's outcome-averaging window (Bicket's canonical ten
-    /// seconds by default).
-    pub samplerate_window: SimDuration,
-}
-
-impl Default for ProtocolParams {
-    fn default() -> Self {
-        ProtocolParams {
-            samplerate_window: super::samplerate::WINDOW,
-        }
-    }
-}
-
-/// A shared, reusable adapter factory: each call yields a fresh adapter
-/// with clean state.
-pub type AdapterFactory = Arc<dyn Fn(&ProtocolParams) -> Box<dyn RateAdapter> + Send + Sync>;
-
-/// A registry of named rate-adaptation protocols.
-pub struct ProtocolRegistry {
-    /// `(canonical name, factory)` in registration order.
-    entries: Vec<(String, AdapterFactory)>,
-}
+/// The builtin protocols, looked up by name through [`ProtocolKind`].
+#[derive(Debug)]
+pub struct ProtocolRegistry;
 
 impl ProtocolRegistry {
-    /// An empty registry (no protocols known).
-    pub fn empty() -> Self {
-        ProtocolRegistry {
-            entries: Vec::new(),
-        }
-    }
-
-    /// The six paper protocols under their canonical names, registered in
-    /// the paper's presentation order: `HintAware`, `RapidSample`,
-    /// `SampleRate`, `RRAA`, `RBAR`, `CHARM`.
-    pub fn builtin() -> Self {
-        let mut r = Self::empty();
-        r.register("HintAware", |p: &ProtocolParams| {
-            Box::new(HintAware::with_strategies(
-                RapidSample::new(),
-                SampleRate::with_window(p.samplerate_window),
-            ))
-        });
-        r.register("RapidSample", |_| Box::new(RapidSample::new()));
-        r.register("SampleRate", |p: &ProtocolParams| {
-            Box::new(SampleRate::with_window(p.samplerate_window))
-        });
-        r.register("RRAA", |_| Box::new(Rraa::new()));
-        r.register("RBAR", |_| Box::new(Rbar::new()));
-        r.register("CHARM", |_| Box::new(Charm::new()));
-        r
-    }
-
-    /// The shared builtin registry (constructed once per process).
+    /// The builtin table.
     pub fn builtin_shared() -> &'static ProtocolRegistry {
-        static BUILTIN: OnceLock<ProtocolRegistry> = OnceLock::new();
-        BUILTIN.get_or_init(ProtocolRegistry::builtin)
+        &ProtocolRegistry
     }
 
-    /// Register (or replace) a protocol under `name`.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        factory: impl Fn(&ProtocolParams) -> Box<dyn RateAdapter> + Send + Sync + 'static,
-    ) {
-        let name = name.into();
-        let factory: AdapterFactory = Arc::new(factory);
-        match self.position(&name) {
-            Some(i) => self.entries[i] = (name, factory),
-            None => self.entries.push((name, factory)),
-        }
-    }
-
-    fn position(&self, name: &str) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|(n, _)| n.eq_ignore_ascii_case(name))
-    }
-
-    /// The canonical display name for `name`, if registered.
-    pub fn canonical_name(&self, name: &str) -> Option<&str> {
-        self.position(name).map(|i| self.entries[i].0.as_str())
-    }
-
-    /// The factory registered under `name` (case-insensitive), shareable
-    /// across threads and calls.
-    pub fn factory(&self, name: &str) -> Option<AdapterFactory> {
-        self.position(name).map(|i| Arc::clone(&self.entries[i].1))
-    }
-
-    /// Instantiate a fresh adapter for `name` with `params`.
-    pub fn build(&self, name: &str, params: &ProtocolParams) -> Option<Box<dyn RateAdapter>> {
-        self.factory(name).map(|f| f(params))
-    }
-
-    /// The error for a `name` this registry does not know: carries the
-    /// registered names so callers can render an actionable message.
-    pub fn unknown(&self, name: &str) -> UnknownProtocolError {
-        UnknownProtocolError {
-            name: name.to_string(),
-            known: self.names().iter().map(|s| s.to_string()).collect(),
-        }
-    }
-
-    /// [`ProtocolRegistry::factory`] with an actionable error: the `Err`
-    /// names every registered protocol.
-    pub fn resolve(&self, name: &str) -> Result<AdapterFactory, UnknownProtocolError> {
-        self.factory(name).ok_or_else(|| self.unknown(name))
-    }
-
-    /// [`ProtocolRegistry::build`] with an actionable error: the `Err`
-    /// names every registered protocol.
-    pub fn try_build(
-        &self,
-        name: &str,
-        params: &ProtocolParams,
-    ) -> Result<Box<dyn RateAdapter>, UnknownProtocolError> {
-        Ok(self.resolve(name)?(params))
-    }
-
-    /// True when `name` resolves to a registered protocol.
-    pub fn contains(&self, name: &str) -> bool {
-        self.position(name).is_some()
-    }
-
-    /// Canonical names in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|(n, _)| n.as_str()).collect()
+    /// A constructor for the protocol `name` selects (ignoring ASCII
+    /// case, as [`ProtocolKind::from_name`]); each call yields a fresh
+    /// adapter with clean state.
+    pub fn factory(&self, name: &str) -> Option<impl Fn(&ProtocolParams) -> Box<dyn RateAdapter>> {
+        ProtocolKind::from_name(name).map(|kind| move |params: &ProtocolParams| kind.build(params))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hint_sim::SimTime;
 
     #[test]
-    fn builtin_has_all_six_paper_protocols() {
-        let r = ProtocolRegistry::builtin();
-        assert_eq!(
-            r.names(),
-            [
-                "HintAware",
-                "RapidSample",
-                "SampleRate",
-                "RRAA",
-                "RBAR",
-                "CHARM"
-            ]
-        );
-        for name in r.names() {
-            let a = r.build(name, &ProtocolParams::default()).expect("factory");
-            assert!(!a.name().is_empty());
-        }
-    }
-
-    #[test]
-    fn lookup_is_case_insensitive_with_canonical_display() {
-        let r = ProtocolRegistry::builtin();
-        assert!(r.contains("rapidsample"));
-        assert!(r.contains("HINTAWARE"));
-        assert_eq!(r.canonical_name("rraa"), Some("RRAA"));
-        assert!(!r.contains("made-up"));
-        assert!(r.build("made-up", &ProtocolParams::default()).is_none());
-    }
-
-    #[test]
-    fn custom_registration_and_replacement() {
-        struct Fixed;
-        impl RateAdapter for Fixed {
-            fn name(&self) -> &'static str {
-                "fixed"
-            }
-            fn pick_rate(&mut self, _now: SimTime) -> hint_mac::BitRate {
-                hint_mac::BitRate::R6
-            }
-            fn report(&mut self, _now: SimTime, _rate: hint_mac::BitRate, _ok: bool) {}
-            fn reset(&mut self, _now: SimTime) {}
-        }
-        let mut r = ProtocolRegistry::empty();
-        r.register("fixed", |_| Box::new(Fixed));
-        assert_eq!(r.names(), ["fixed"]);
-        let mut a = r.build("FIXED", &ProtocolParams::default()).unwrap();
-        assert_eq!(a.pick_rate(SimTime::ZERO), hint_mac::BitRate::R6);
-        // Re-registering under a different case replaces, not duplicates.
-        r.register("Fixed", |_| Box::new(Fixed));
-        assert_eq!(r.names(), ["Fixed"]);
-    }
-
-    #[test]
-    fn failed_lookup_lists_registered_names() {
-        let r = ProtocolRegistry::builtin();
-        let err = r.try_build("warpdrive", &ProtocolParams::default());
-        let err = match err {
-            Err(e) => e,
-            Ok(_) => panic!("unknown name must not build"),
-        };
-        assert_eq!(err.name, "warpdrive");
-        // The message itself is the discovery surface: it must name the
-        // failing input and every registered protocol.
-        let msg = err.to_string();
-        assert_eq!(
-            msg,
-            "unknown protocol `warpdrive` (registered: HintAware, RapidSample, \
-             SampleRate, RRAA, RBAR, CHARM)"
-        );
-        assert_eq!(r.resolve("warpdrive").err().unwrap(), err);
-        // Custom registrations show up in the error too.
-        let mut custom = ProtocolRegistry::builtin();
-        custom.register("Fixed6", |_| Box::new(RapidSample::new()));
-        let msg = custom.try_build("nope", &ProtocolParams::default()).err();
-        assert!(msg.unwrap().to_string().contains("Fixed6"));
-    }
-
-    #[test]
-    fn factories_yield_fresh_state() {
-        let r = ProtocolRegistry::builtin();
-        let f = r.factory("SampleRate").unwrap();
-        let a = f(&ProtocolParams::default());
-        let b = f(&ProtocolParams::default());
-        // Two builds are independent objects with identical behaviour.
-        assert_eq!(a.name(), b.name());
+    fn factory_resolves_names_like_protocol_kind() {
+        let registry = ProtocolRegistry::builtin_shared();
+        let factory = registry.factory("charm").expect("builtin protocol");
+        assert_eq!(factory(&ProtocolParams::default()).name(), "CHARM");
+        assert!(registry.factory("warpdrive").is_none());
     }
 }

@@ -43,8 +43,7 @@
 //! ```
 
 use crate::hintstream::HintStream;
-use crate::protocols::registry::{AdapterFactory, ProtocolParams, ProtocolRegistry};
-use crate::protocols::RateAdapter;
+use crate::protocols::{ProtocolKind, ProtocolParams, RateAdapter};
 use crate::sim::{LinkSimulator, SimResult};
 use crate::workload::Workload;
 use hint_channel::{Environment, Trace};
@@ -275,12 +274,12 @@ impl HintSpec {
     }
 }
 
-/// Protocol selection **by name**, resolved through a
-/// [`ProtocolRegistry`] at compile time.
+/// Protocol selection **by name**, resolved to a [`ProtocolKind`] at
+/// validation.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ProtocolSpec {
-    /// Registry name (case-insensitive; builtin: `RapidSample`,
-    /// `SampleRate`, `RRAA`, `RBAR`, `CHARM`, `HintAware`).
+    /// Protocol name (case-insensitive: `RapidSample`, `SampleRate`,
+    /// `RRAA`, `RBAR`, `CHARM`, `HintAware`).
     pub name: String,
     /// SampleRate's averaging window (also the static arm of HintAware);
     /// ignored by protocols that don't take it.
@@ -296,11 +295,23 @@ impl ProtocolSpec {
         }
     }
 
-    /// The registry parameters this spec selects.
+    /// The construction parameters this spec selects.
     pub fn params(&self) -> ProtocolParams {
         ProtocolParams {
             samplerate_window: self.samplerate_window,
         }
+    }
+
+    /// The protocol this spec names, or an error listing every name that
+    /// would have resolved.
+    pub fn kind(&self) -> Result<ProtocolKind, ScenarioError> {
+        ProtocolKind::from_name(&self.name).ok_or_else(|| ScenarioError::UnknownProtocol {
+            name: self.name.clone(),
+            known: ProtocolKind::ALL
+                .iter()
+                .map(|k| k.name().to_string())
+                .collect(),
+        })
     }
 }
 
@@ -328,7 +339,7 @@ pub struct ScenarioSpec {
     pub seed: u64,
     /// Traffic workload.
     pub workload: Workload,
-    /// Rate-adaptation protocol, selected by registry name.
+    /// Rate-adaptation protocol, selected by name.
     pub protocol: ProtocolSpec,
     /// Movement-hint feed.
     pub hints: HintSpec,
@@ -364,26 +375,11 @@ impl ScenarioSpec {
         ScenarioBuilder::new()
     }
 
-    /// Validate and compile against the builtin protocol registry.
+    /// Validate and compile.
     pub fn compile(&self) -> Result<Scenario, ScenarioError> {
-        self.compile_with(ProtocolRegistry::builtin_shared())
-    }
-
-    /// Validate and compile against an explicit registry (custom
-    /// protocols).
-    pub fn compile_with(&self, registry: &ProtocolRegistry) -> Result<Scenario, ScenarioError> {
-        self.validate(registry)?;
+        let protocol = self.validate()?;
         let environment = self.environment.resolve();
         let profile = self.motion.profile(self.duration);
-        let protocol_name = registry
-            .canonical_name(&self.protocol.name)
-            // detlint::allow(PANIC001): validate_with resolved this name above
-            .expect("validated above")
-            .to_string();
-        let factory = registry
-            .factory(&self.protocol.name)
-            // detlint::allow(PANIC001): validate_with resolved this name above
-            .expect("validated above");
         // Resolve a trace-file workload to inline records now, so the
         // compiled scenario never touches the filesystem at run time
         // (and a bad trace file fails here, with context, not mid-run).
@@ -404,16 +400,16 @@ impl ScenarioSpec {
             workload,
             environment,
             profile,
-            protocol_name,
-            factory,
+            protocol,
             sim,
         })
     }
 
-    /// Validate without compiling (cheap: no trace generation, no
-    /// filesystem — a trace-file workload's contents are checked when
-    /// [`ScenarioSpec::compile`] resolves them).
-    pub fn validate(&self, registry: &ProtocolRegistry) -> Result<(), ScenarioError> {
+    /// Validate without compiling, returning the protocol the spec
+    /// names (cheap: no trace generation, no filesystem — a trace-file
+    /// workload's contents are checked when [`ScenarioSpec::compile`]
+    /// resolves them).
+    pub fn validate(&self) -> Result<ProtocolKind, ScenarioError> {
         self.validate_shape()?;
         if self.payload_bytes == 0 {
             return Err(ScenarioError::ZeroPayload);
@@ -424,14 +420,7 @@ impl ScenarioSpec {
         if let Some(b) = &self.backhaul {
             b.validate().map_err(ScenarioError::BadBackhaul)?;
         }
-        if !registry.contains(&self.protocol.name) {
-            let e = registry.unknown(&self.protocol.name);
-            return Err(ScenarioError::UnknownProtocol {
-                name: e.name,
-                known: e.known,
-            });
-        }
-        Ok(())
+        self.protocol.kind()
     }
 
     /// Validate only the trace-shaping fields (environment is always
@@ -444,7 +433,7 @@ impl ScenarioSpec {
         self.motion.validate(self.duration)
     }
 
-    /// Compile and run in one step (builtin registry).
+    /// Compile and run in one step.
     pub fn run(&self) -> Result<ScenarioOutcome, ScenarioError> {
         Ok(self.compile()?.run())
     }
@@ -505,11 +494,11 @@ pub enum ScenarioError {
     /// model, an empty or unloadable packet trace; message says which
     /// parameter and why).
     BadWorkload(String),
-    /// The protocol name is not in the registry.
+    /// The protocol name is not one of [`ProtocolKind::ALL`].
     UnknownProtocol {
         /// The unresolvable name.
         name: String,
-        /// The names the registry does know.
+        /// The canonical names that do resolve.
         known: Vec<String>,
     },
     /// The backhaul spec is degenerate (a zero-rate wire or a
@@ -628,7 +617,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Select the protocol by registry name (default SampleRate window).
+    /// Select the protocol by name (default SampleRate window).
     pub fn protocol(mut self, name: impl Into<String>) -> Self {
         self.spec.protocol = ProtocolSpec::named(name);
         self
@@ -688,14 +677,9 @@ impl ScenarioBuilder {
         self.spec
     }
 
-    /// Validate and compile against the builtin registry.
+    /// Validate and compile.
     pub fn build(self) -> Result<Scenario, ScenarioError> {
         self.spec.compile()
-    }
-
-    /// Validate and compile against an explicit registry.
-    pub fn build_with(self, registry: &ProtocolRegistry) -> Result<Scenario, ScenarioError> {
-        self.spec.compile_with(registry)
     }
 
     /// Validate environment/motion/duration and generate just the channel
@@ -729,8 +713,7 @@ pub struct Scenario {
     workload: Workload,
     environment: Environment,
     profile: MotionProfile,
-    protocol_name: String,
-    factory: AdapterFactory,
+    protocol: ProtocolKind,
     sim: LinkSimulator<'static>,
 }
 
@@ -760,20 +743,20 @@ impl Scenario {
         self.sim.hint_stream()
     }
 
-    /// The canonical registry name of the selected protocol.
+    /// The canonical name of the selected protocol.
     pub fn protocol_name(&self) -> &str {
-        &self.protocol_name
+        self.protocol.name()
     }
 
     /// Run the spec's protocol over the trace. Every call builds a fresh
     /// adapter and re-seeds the link-noise stream, so repeated runs are
     /// bit-identical.
     pub fn run(&self) -> ScenarioOutcome {
-        let mut adapter = (self.factory)(&self.spec.protocol.params());
+        let mut adapter = self.protocol.build(&self.spec.protocol.params());
         let result = self.run_with(adapter.as_mut());
         ScenarioOutcome {
             environment: self.environment.name.clone(),
-            protocol: self.protocol_name.clone(),
+            protocol: self.protocol.name().to_string(),
             seed: self.spec.seed,
             result,
         }
@@ -793,12 +776,12 @@ impl Scenario {
     /// it replays via [`crate::Workload::trace`] /
     /// [`crate::Workload::trace_file`].
     pub fn run_recording(&self) -> (ScenarioOutcome, crate::trace::PacketTrace) {
-        let mut adapter = (self.factory)(&self.spec.protocol.params());
+        let mut adapter = self.protocol.build(&self.spec.protocol.params());
         let (result, trace) = self.sim.run_recording(adapter.as_mut(), &self.workload);
         (
             ScenarioOutcome {
                 environment: self.environment.name.clone(),
-                protocol: self.protocol_name.clone(),
+                protocol: self.protocol.name().to_string(),
                 seed: self.spec.seed,
                 result,
             },

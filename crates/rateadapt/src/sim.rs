@@ -19,7 +19,7 @@ use crate::hintstream::HintStream;
 use crate::protocols::RateAdapter;
 use crate::trace::{Direction, PacketRecord, PacketTrace};
 use crate::workload::{FlowConfig, TcpConfig, TraceSource, Workload};
-use hint_cc::{BackhaulSpec, CcaRegistry, DropTailQueue, RttEstimator};
+use hint_cc::{BackhaulSpec, DropTailQueue, RttEstimator};
 use hint_channel::Trace;
 use hint_mac::{BitRate, MacTiming};
 use hint_sim::{RngStream, SimDuration, SimTime};
@@ -591,11 +591,11 @@ impl<'r> LinkRun<'r> {
     fn flow(&mut self, cfg: &FlowConfig) {
         let bytes = self.sim.payload_bytes;
         let backhaul = self.sim.backhaul;
-        let mut cc = match CcaRegistry::builtin_shared().try_build(&cfg.cca) {
+        let mut cc = match cfg.cca.build() {
             Ok(cc) => cc,
             // Programmer error, not a spec error: FlowConfig::validate —
             // which spec compilation always runs — rejects unknown CCA
-            // names with the registry's actionable message.
+            // names with this same actionable message.
             Err(e) => panic!("{e}; validate the FlowConfig before running (spec compilation does)"),
         };
         let mut rtt_est = RttEstimator::new();

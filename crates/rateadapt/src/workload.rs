@@ -16,7 +16,7 @@
 //!
 //! The fourth is the closed-loop flow ([`Workload::Flow`]): a
 //! window-based sender with acks, RTT estimation and a pluggable
-//! congestion controller from the `hint-cc` registry, built so the
+//! congestion controller named through `hint-cc`'s `CcaSpec`, built so the
 //! bottleneck can sit on an AP's wired backhaul (see
 //! [`crate::sim::LinkSimulator::with_backhaul`]) instead of the air. The
 //! open-loop [`Workload::Tcp`] model is kept byte-identical as the
@@ -139,10 +139,10 @@ impl TcpConfig {
 /// retransmission timers clamped to `[rto_min, rto_max]` (doubling per
 /// consecutive timeout, saturating at `rto_max`). The congestion window
 /// itself is owned by the pluggable controller named in
-/// [`FlowConfig::cca`] (see `hint_cc::CcaRegistry`).
+/// [`FlowConfig::cca`] (see [`CcaSpec::build`]).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FlowConfig {
-    /// The congestion-control algorithm, by registry name, plus its
+    /// The congestion-control algorithm, by name, plus its
     /// window cap.
     pub cca: CcaSpec,
     /// Link-layer attempts per packet on the wireless hop before the

@@ -12,7 +12,7 @@ use hint_rateadapt::scenario::{
     EnvironmentSpec, HintSpec, MotionSpec, ProtocolSpec, ScenarioBuilder, ScenarioSpec,
     HINT_SEED_MASK,
 };
-use hint_rateadapt::{HintStream, LinkSimulator, ProtocolParams, ProtocolRegistry, Workload};
+use hint_rateadapt::{HintStream, LinkSimulator, ProtocolKind, ProtocolParams, Workload};
 use hint_sensors::MotionProfile;
 use hint_sim::SimDuration;
 
@@ -148,9 +148,7 @@ fn spec_and_builder_agree_bit_identically_with_hand_built_run() {
     let profile = MotionProfile::half_and_half(duration / 2, true);
     let trace = Trace::generate(&env, &profile, duration, seed);
     let hints = HintStream::from_sensors(&profile, duration, seed ^ HINT_SEED_MASK);
-    let mut adapter = ProtocolRegistry::builtin_shared()
-        .build("HintAware", &ProtocolParams::default())
-        .unwrap();
+    let mut adapter = ProtocolKind::HintAware.build(&ProtocolParams::default());
     let hand = LinkSimulator::new(&trace)
         .with_hints(&hints)
         .run(adapter.as_mut(), &Workload::tcp());
@@ -285,8 +283,7 @@ fn fleet_validation_reuses_scenario_error_paths() {
         base().payload_bytes(0).validate().err(),
         Some(ScenarioError::ZeroPayload)
     );
-    // Unknown protocols surface through the same registry-backed error
-    // (message lists the registered names).
+    // Unknown protocols surface as an error that lists the known names.
     let err = base().protocol("warpdrive").validate().err().unwrap();
     assert!(err.to_string().contains("registered: HintAware"));
 }

@@ -12,7 +12,7 @@
 //! cargo run --release --example supermarket
 //! ```
 
-use sensor_hints::rateadapt::evaluate::ProtocolKind;
+use sensor_hints::rateadapt::protocols::{ProtocolKind, ProtocolParams};
 use sensor_hints::rateadapt::scenario::{MotionSpec, ScenarioBuilder};
 use sensor_hints::rateadapt::Workload;
 use sensor_hints::sim::SimDuration;
@@ -48,7 +48,7 @@ fn main() {
 
     let mut results: Vec<(&str, f64)> = Vec::new();
     for kind in ProtocolKind::ALL {
-        let mut adapter = kind.build(SimDuration::from_secs(10));
+        let mut adapter = kind.build(&ProtocolParams::default());
         let r = scenario.run_with(adapter.as_mut());
         println!(
             "{:<12} {:>14.2} {:>12} {:>10}",

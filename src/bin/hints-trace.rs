@@ -21,9 +21,7 @@
 use sensor_hints::channel::Trace;
 use sensor_hints::mac::BitRate;
 use sensor_hints::rateadapt::scenario::{EnvironmentSpec, MotionSpec, ScenarioBuilder};
-use sensor_hints::rateadapt::{
-    HintStream, LinkSimulator, ProtocolParams, ProtocolRegistry, Workload,
-};
+use sensor_hints::rateadapt::{HintStream, LinkSimulator, ProtocolKind, ProtocolParams, Workload};
 use sensor_hints::sensors::MotionProfile;
 use sensor_hints::sim::SimDuration;
 use std::path::Path;
@@ -151,17 +149,14 @@ fn workload_of(args: &[String]) -> Workload {
     }
 }
 
-/// Replay one registered protocol over a loaded trace, using ground-
-/// truth-with-detector-latency hints derived from the trace's own
-/// movement flags.
-fn replay(trace: &Trace, protocol: &str, workload: &Workload) -> f64 {
+/// Replay one protocol over a loaded trace, using ground-truth-with-
+/// detector-latency hints derived from the trace's own movement flags.
+fn replay(trace: &Trace, protocol: ProtocolKind, workload: &Workload) -> f64 {
     // Rebuild a hint stream from the trace's stored ground truth with a
     // 100 ms oracle latency (the detector's measured class).
     let profile = profile_from_trace(trace);
     let hints = HintStream::oracle(&profile, trace.duration(), SimDuration::from_millis(100));
-    let mut adapter = ProtocolRegistry::builtin_shared()
-        .build(protocol, &ProtocolParams::default())
-        .expect("caller resolved the protocol name");
+    let mut adapter = protocol.build(&ProtocolParams::default());
     LinkSimulator::new(trace)
         .with_hints(&hints)
         .run(adapter.as_mut(), workload)
@@ -206,19 +201,16 @@ fn cmd_replay(path: &str, args: &[String]) -> ExitCode {
         Ok(t) => t,
         Err(c) => return c,
     };
-    let registry = ProtocolRegistry::builtin_shared();
-    let Some(name) = flag(args, "--protocol")
-        .and_then(|p| registry.canonical_name(&p))
-        .map(str::to_string)
-    else {
+    let Some(kind) = flag(args, "--protocol").and_then(|p| ProtocolKind::from_name(&p)) else {
+        let names: Vec<&str> = ProtocolKind::ALL.iter().map(|k| k.name()).collect();
         eprintln!(
             "--protocol required (one of: {})",
-            registry.names().join("|").to_ascii_lowercase()
+            names.join("|").to_ascii_lowercase()
         );
         return ExitCode::from(2);
     };
-    let goodput = replay(&trace, &name, &workload_of(args));
-    println!("{name}: {:.2} Mbit/s", goodput / 1e6);
+    let goodput = replay(&trace, kind, &workload_of(args));
+    println!("{}: {:.2} Mbit/s", kind.name(), goodput / 1e6);
     ExitCode::SUCCESS
 }
 
@@ -229,9 +221,9 @@ fn cmd_compare(path: &str, args: &[String]) -> ExitCode {
     };
     let workload = workload_of(args);
     println!("{:<12} {:>12}", "protocol", "Mbit/s");
-    for name in ProtocolRegistry::builtin_shared().names() {
-        let goodput = replay(&trace, name, &workload);
-        println!("{name:<12} {:>12.2}", goodput / 1e6);
+    for kind in ProtocolKind::ALL {
+        let goodput = replay(&trace, kind, &workload);
+        println!("{:<12} {:>12.2}", kind.name(), goodput / 1e6);
     }
     ExitCode::SUCCESS
 }

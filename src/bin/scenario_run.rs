@@ -22,7 +22,6 @@
 use sensor_hints::fleet::FleetScenario;
 use sensor_hints::mac::BitRate;
 use sensor_hints::rateadapt::fleet::FleetSpec;
-use sensor_hints::rateadapt::protocols::registry::ProtocolRegistry;
 use sensor_hints::rateadapt::scenario::ScenarioSpec;
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
@@ -164,8 +163,8 @@ fn main() -> ExitCode {
     }
     if validate {
         // Validation only (cheap: no trace generation, no simulation).
-        return match spec.validate(ProtocolRegistry::builtin_shared()) {
-            Ok(()) => {
+        return match spec.validate() {
+            Ok(_) => {
                 println!("scenario_run: {path}: valid single-link spec");
                 ExitCode::SUCCESS
             }
@@ -283,7 +282,7 @@ fn rebase_fleet_traces(path: &str, spec: &mut FleetSpec) {
 /// it (`--validate`): exit 0 on a valid spec, 2 otherwise.
 fn validate_fleet(path: &str, spec: &FleetSpec) -> ExitCode {
     match spec.validate() {
-        Ok(()) => {
+        Ok(_) => {
             println!(
                 "scenario_run: {path}: valid fleet spec ({} clients x {} APs)",
                 spec.clients.len(),

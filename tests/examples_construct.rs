@@ -13,7 +13,7 @@ use sensor_hints::ap::disassociation::{fig_5_1_scenario, DisassociationPolicy, F
 use sensor_hints::ap::scheduler::{simulate_two_client_schedule, SchedulePolicy};
 use sensor_hints::device::HintedDevice;
 use sensor_hints::mac::BitRate;
-use sensor_hints::rateadapt::evaluate::ProtocolKind;
+use sensor_hints::rateadapt::protocols::{ProtocolKind, ProtocolParams};
 use sensor_hints::rateadapt::scenario::{EnvironmentSpec, MotionSpec, ScenarioBuilder};
 use sensor_hints::rateadapt::Workload;
 use sensor_hints::sensors::gps::Position;
@@ -56,7 +56,7 @@ fn supermarket_scenario_constructs() {
         .expect("valid supermarket scenario");
     let duration = scenario.spec().duration;
     for kind in ProtocolKind::ALL {
-        let mut adapter = kind.build(SimDuration::from_secs(10));
+        let mut adapter = kind.build(&ProtocolParams::default());
         let r = scenario.run_with(adapter.as_mut());
         assert!(
             r.attempts > 0,

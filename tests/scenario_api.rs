@@ -85,6 +85,20 @@ fn vehicular_udp_spec_matches_hand_coded_builder_run() {
 }
 
 #[test]
+fn trace_replay_spec_reproduces_its_golden() {
+    // The spec names its packet trace by a path relative to the spec
+    // file; `load` rebases it, and compile reads it.
+    let spec = ScenarioSpec::load(&spec_path("trace_replay_office.json")).expect("spec loads");
+    let outcome = spec.run().expect("spec is valid");
+    assert_eq!(outcome.protocol, "RapidSample");
+    assert!(outcome.result.packets_delivered > 0);
+    assert!(
+        outcome.to_json_pretty() + "\n" == golden("trace_replay_outcome.json"),
+        "trace-replay outcome diverged from its golden"
+    );
+}
+
+#[test]
 fn checked_in_specs_round_trip_through_their_own_serialization() {
     for name in ["mixed_office_tcp.json", "vehicular_udp.json"] {
         let spec = ScenarioSpec::load(&spec_path(name)).expect("spec loads");

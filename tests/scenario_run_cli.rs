@@ -146,6 +146,19 @@ fn malformed_medium_specs_exit_two_with_actionable_stderr() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("epoch must be positive"), "{err}");
+
+    // Sub-second epoch: spans read one share per second, so it is
+    // rejected before any cell is arbitrated.
+    let mut fine_epoch = checked_in_fleet();
+    fine_epoch.medium = MediumSpec {
+        epoch: SimDuration::from_micros(100),
+        ..MediumSpec::shared()
+    };
+    let path = save_temp("fine_epoch.json", &fine_epoch);
+    let out = scenario_run(&[path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("medium.epoch 100us"), "{err}");
 }
 
 #[test]
