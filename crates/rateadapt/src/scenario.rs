@@ -923,6 +923,17 @@ mod tests {
             Some(ScenarioError::BadMotion(_))
         ));
 
+        // The message names the input and every protocol, in table order.
+        assert_eq!(
+            ProtocolSpec::named("warpdrive")
+                .kind()
+                .unwrap_err()
+                .to_string(),
+            "unknown protocol `warpdrive` (registered: HintAware, RapidSample, SampleRate, \
+             RRAA, RBAR, CHARM)"
+        );
+        assert_eq!(ProtocolSpec::named("charm").kind(), Ok(ProtocolKind::Charm));
+
         let bad_speed = ScenarioBuilder::new()
             .motion(MotionSpec::Walking {
                 speed_mps: -1.0,
