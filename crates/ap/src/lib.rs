@@ -15,11 +15,8 @@
 //!   remaining static client for ~10 s until the AP finally prunes. A
 //!   movement hint lets the AP quarantine the client immediately and probe
 //!   it gently instead.
-//! * [`cellular`] — the Sec. 5.5 sketch: hint-scaled neighbour-cell
-//!   scanning and speed-aware handoff that skips transient micro cells.
 
 pub mod association;
-pub mod cellular;
 pub mod disassociation;
 pub mod scheduler;
 

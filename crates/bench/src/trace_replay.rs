@@ -4,7 +4,7 @@
 //! The experiment the trace subsystem exists for: record the
 //! delivered-packet schedule of one mixed-mobility run, then replay that
 //! schedule — the same offered load, at the same instants — through
-//! every registered protocol. Synthetic workloads answer "what does each
+//! each of the six protocols. Synthetic workloads answer "what does each
 //! protocol do under saturation?"; a replayed trace answers the
 //! paper-adjacent question "what would each protocol have done with
 //! *this* traffic?" (any real capture in the trace format plugs into the

@@ -52,7 +52,7 @@ impl CcaSpec {
             "reno" => Ok(Box::new(Reno::new(self.window))),
             "fixedwindow" => Ok(Box::new(FixedWindow::new(self.window))),
             _ => Err(format!(
-                "unknown congestion controller `{}` (registered: {})",
+                "unknown congestion controller `{}` (one of: {})",
                 self.name,
                 CCA_NAMES.join(", ")
             )),
@@ -109,7 +109,7 @@ mod tests {
         };
         assert_eq!(
             err,
-            "unknown congestion controller `vegas` (registered: Reno, FixedWindow)"
+            "unknown congestion controller `vegas` (one of: Reno, FixedWindow)"
         );
     }
 

@@ -1,26 +1,10 @@
 //! The unified hint value type.
 //!
 //! Sec. 2.3's wire format carries `(hintType, hintVal)` pairs; locally,
-//! protocols consume richer typed values. [`Hint`] is the local
-//! representation, with lossy (quantised) conversion to and from the
-//! two-byte wire form in `hint-mac`.
+//! protocols consume typed values. [`Hint`] is the local representation of
+//! a received hint, built from the two-byte wire form in `hint-mac`.
 
 use hint_mac::hint_proto::HintWire;
-use hint_sensors::gps::Position;
-
-/// The kinds of mobility hint defined in Sec. 2.2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum HintKind {
-    /// Boolean movement (Sec. 2.2.1).
-    Movement,
-    /// Heading in degrees (Sec. 2.2.2).
-    Heading,
-    /// Speed in m/s (Sec. 2.2.3).
-    Speed,
-    /// Position on the local plane (Sec. 2.2.3; local-only — positions do
-    /// not fit the two-byte wire TLV and ride higher-layer messages).
-    Position,
-}
 
 /// A typed hint value.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -31,31 +15,9 @@ pub enum Hint {
     Heading(f64),
     /// Speed, m/s.
     Speed(f64),
-    /// Position, metres on the local tangent plane.
-    Position(Position),
 }
 
 impl Hint {
-    /// This hint's kind tag.
-    pub fn kind(&self) -> HintKind {
-        match self {
-            Hint::Movement(_) => HintKind::Movement,
-            Hint::Heading(_) => HintKind::Heading,
-            Hint::Speed(_) => HintKind::Speed,
-            Hint::Position(_) => HintKind::Position,
-        }
-    }
-
-    /// Convert to the two-byte wire form, if this kind is wire-encodable.
-    pub fn to_wire(&self) -> Option<HintWire> {
-        match *self {
-            Hint::Movement(m) => Some(HintWire::Movement(m)),
-            Hint::Heading(h) => Some(HintWire::Heading(h)),
-            Hint::Speed(s) => Some(HintWire::Speed(s)),
-            Hint::Position(_) => None,
-        }
-    }
-
     /// Build from a received wire hint.
     pub fn from_wire(w: HintWire) -> Hint {
         match w {
@@ -71,30 +33,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kinds_match_variants() {
-        assert_eq!(Hint::Movement(true).kind(), HintKind::Movement);
-        assert_eq!(Hint::Heading(10.0).kind(), HintKind::Heading);
-        assert_eq!(Hint::Speed(1.0).kind(), HintKind::Speed);
-        assert_eq!(
-            Hint::Position(Position { x: 0.0, y: 0.0 }).kind(),
-            HintKind::Position
-        );
-    }
-
-    #[test]
     fn wire_roundtrip_for_encodable_kinds() {
-        for h in [Hint::Movement(true), Hint::Heading(42.0), Hint::Speed(3.5)] {
-            let w = h.to_wire().expect("encodable");
-            let bytes = w.encode();
-            let back = Hint::from_wire(HintWire::decode(bytes).expect("valid"));
-            assert_eq!(back.kind(), h.kind());
+        for (w, h) in [
+            (HintWire::Movement(true), Hint::Movement(true)),
+            (HintWire::Heading(42.0), Hint::Heading(42.0)),
+            (HintWire::Speed(3.5), Hint::Speed(3.5)),
+        ] {
+            let back = Hint::from_wire(HintWire::decode(w.encode()).expect("valid"));
+            assert_eq!(back, h);
         }
-    }
-
-    #[test]
-    fn position_is_local_only() {
-        assert!(Hint::Position(Position { x: 1.0, y: 2.0 })
-            .to_wire()
-            .is_none());
     }
 }

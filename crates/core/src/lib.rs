@@ -16,16 +16,20 @@
 //! | Module | Implements |
 //! |---|---|
 //! | [`hint`]    | The unified hint value type and its wire mapping |
-//! | [`service`] | The device-local hint service (Sec. 2.2) |
-//! | [`device`]  | A full sensing device: sensors → detector → service → frames |
 //! | [`neighbors`] | Per-neighbour hint tables fed by received frames |
 //! | [`power`]   | Movement-based radio power saving (Sec. 5.4) |
+//! | [`fleet`]   | The multi-client fleet engine |
 //! | [`sim`], [`sensors`], [`channel`], [`mac`], [`rateadapt`], [`topology`], [`vehicular`], [`ap`] | The substrate crates, re-exported |
 //!
 //! ## Quickstart
 //!
+//! A phone's movement hint is one stream: its accelerometer feeds the
+//! jerk detector ([`rateadapt::HintStream::from_sensors`]), and each
+//! frame's hint field carries the stream's current value.
+//!
 //! ```
-//! use sensor_hints::device::HintedDevice;
+//! use sensor_hints::mac::hint_proto::{HintField, HintWire};
+//! use sensor_hints::rateadapt::HintStream;
 //! use sensor_hints::sensors::MotionProfile;
 //! use sensor_hints::sim::{SimDuration, SimTime};
 //!
@@ -35,19 +39,18 @@
 //!     SimDuration::from_secs(5),
 //!     SimDuration::from_secs(5),
 //! );
-//! let mut phone = HintedDevice::new(profile, 42);
-//! phone.advance_to(SimTime::from_secs(7)); // mid-walk
-//! assert!(phone.hints().is_moving());
-//! // The hint ships in the frame's hint field, ready for the ACK bit.
-//! assert_eq!(phone.outgoing_hint_field().movement_hint(), Some(true));
+//! let hints = HintStream::from_sensors(&profile, profile.duration(), 42);
+//! let moving = hints.query(SimTime::from_secs(7)); // mid-walk
+//! assert!(moving);
+//! // The hint ships in the frame's hint field: ACK bit plus TLV.
+//! let field = HintField::with_tlv(HintWire::Movement(moving));
+//! assert_eq!(field.movement_hint(), Some(true));
 //! ```
 
-pub mod device;
 pub mod fleet;
 pub mod hint;
 pub mod neighbors;
 pub mod power;
-pub mod service;
 
 /// Deterministic simulation substrate (clock, RNG, statistics, events).
 pub use hint_sim as sim;
@@ -73,8 +76,6 @@ pub use hint_vehicular as vehicular;
 /// Hint-aware access point policies (Sec. 5.2).
 pub use hint_ap as ap;
 
-pub use device::HintedDevice;
 pub use fleet::FleetScenario;
-pub use hint::{Hint, HintKind};
+pub use hint::Hint;
 pub use neighbors::NeighborHints;
-pub use service::HintService;

@@ -58,7 +58,6 @@ impl<K: Ord + Copy> NeighborHints<K> {
                 Hint::Movement(m) => e.moving = Some(m),
                 Hint::Heading(h) => e.heading_deg = Some(h),
                 Hint::Speed(s) => e.speed_mps = Some(s),
-                Hint::Position(_) => {}
             }
         }
     }

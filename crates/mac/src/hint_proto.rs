@@ -88,15 +88,6 @@ impl HintWire {
             HintType::Speed => Some(HintWire::Speed(f64::from(bytes[1]) / 2.0)),
         }
     }
-
-    /// The type tag of this hint.
-    pub fn hint_type(self) -> HintType {
-        match self {
-            HintWire::Movement(_) => HintType::Movement,
-            HintWire::Heading(_) => HintType::Heading,
-            HintWire::Speed(_) => HintType::Speed,
-        }
-    }
 }
 
 /// The hint payload a frame can carry: the cheap ACK-bit movement flag,

@@ -12,7 +12,6 @@
 //! * [`timing`] — exact PHY/MAC airtime arithmetic (preamble, OFDM symbol
 //!   packing, SIFS/DIFS, contention backoff, ACK exchanges) used by the
 //!   throughput simulators.
-//! * [`frames`] — the frame model exchanged in simulations.
 //! * [`hint_proto`] — the over-the-air hint encoding: a movement bit
 //!   stuffed into ACK flags and the general two-byte TLV hint field, with
 //!   graceful coexistence with hint-oblivious legacy nodes.
@@ -26,7 +25,6 @@
 //!   from the speed hint.
 
 pub mod contention;
-pub mod frames;
 pub mod hint_proto;
 pub mod phy_adapt;
 pub mod rates;
@@ -36,7 +34,6 @@ pub mod timing;
 pub use contention::{
     AirtimeArbiter, ContentionParams, ContentionParamsError, Grant, GrantSchedule, Station,
 };
-pub use frames::{Frame, FrameKind};
 pub use hint_proto::{HintField, HintType, HintWire};
 pub use rates::BitRate;
 pub use timing::MacTiming;

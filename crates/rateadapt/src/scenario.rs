@@ -527,7 +527,7 @@ impl fmt::Display for ScenarioError {
             ScenarioError::BadBackhaul(msg) => write!(f, "invalid backhaul: {msg}"),
             ScenarioError::UnknownProtocol { name, known } => write!(
                 f,
-                "unknown protocol `{name}` (registered: {})",
+                "unknown protocol `{name}` (one of: {})",
                 known.join(", ")
             ),
             ScenarioError::BadFleet(msg) => write!(f, "invalid fleet spec: {msg}"),
@@ -929,7 +929,7 @@ mod tests {
                 .kind()
                 .unwrap_err()
                 .to_string(),
-            "unknown protocol `warpdrive` (registered: HintAware, RapidSample, SampleRate, \
+            "unknown protocol `warpdrive` (one of: HintAware, RapidSample, SampleRate, \
              RRAA, RBAR, CHARM)"
         );
         assert_eq!(ProtocolSpec::named("charm").kind(), Ok(ProtocolKind::Charm));

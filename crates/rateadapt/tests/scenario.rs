@@ -285,5 +285,5 @@ fn fleet_validation_reuses_scenario_error_paths() {
     );
     // Unknown protocols surface as an error that lists the known names.
     let err = base().protocol("warpdrive").validate().err().unwrap();
-    assert!(err.to_string().contains("registered: HintAware"));
+    assert!(err.to_string().contains("one of: HintAware"));
 }

@@ -37,7 +37,18 @@ impl HeadingHint {
 
     /// Smallest absolute difference to another heading, degrees `[0, 180]`.
     pub fn difference(self, other: HeadingHint) -> f64 {
-        crate::compass::heading_difference(self.0, other.0)
+        heading_difference(self.0, other.0)
+    }
+}
+
+/// Smallest absolute angular difference between two headings, degrees
+/// `[0, 180]`.
+pub fn heading_difference(a_deg: f64, b_deg: f64) -> f64 {
+    let d = (a_deg - b_deg).rem_euclid(360.0);
+    if d > 180.0 {
+        360.0 - d
+    } else {
+        d
     }
 }
 
@@ -111,6 +122,19 @@ mod tests {
         assert_eq!(HeadingHint::new(370.0).degrees(), 10.0);
         assert_eq!(HeadingHint::new(-10.0).degrees(), 350.0);
         assert!((HeadingHint::new(350.0).difference(HeadingHint::new(10.0)) - 20.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn heading_difference_properties() {
+        assert_eq!(heading_difference(0.0, 0.0), 0.0);
+        assert_eq!(heading_difference(0.0, 180.0), 180.0);
+        assert!((heading_difference(350.0, 10.0) - 20.0).abs() < 1e-12);
+        assert!((heading_difference(10.0, 350.0) - 20.0).abs() < 1e-12);
+        assert!((heading_difference(90.0, 270.0) - 180.0).abs() < 1e-12);
+        // Symmetry.
+        for (a, b) in [(15.0, 200.0), (359.0, 1.0), (123.4, 321.0)] {
+            assert_eq!(heading_difference(a, b), heading_difference(b, a));
+        }
     }
 
     #[test]

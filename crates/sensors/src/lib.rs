@@ -14,26 +14,26 @@
 //!   reports, two adjacent 5-report averages, squared-difference "jerk"
 //!   value, threshold 3, 50-report hysteresis window. Detects transitions
 //!   in under 100 ms of simulated time (Fig. 2-2).
-//! * [`fusion::HeadingEstimator`] — Sec. 2.2.2: compass headings, optionally
-//!   stabilised by gyroscope integration in magnetically noisy environments.
-//! * [`gps`] — Sec. 2.2.3: outdoor position/speed/heading fixes (GPS locks
-//!   only outdoors; indoor queries return `None`, which Sec. 5.3 exploits to
-//!   detect outdoor operation).
+//! * [`hints`] — the hint value types (movement, heading, speed, position)
+//!   that protocols consume, and [`gps::Position`], the local plane every
+//!   position hint lives on.
+//! * [`microphone`] — Sec. 5.6's microphone (environment-dynamism) hint.
+//!
+//! The movement hint is the one hint every simulation path synthesizes.
+//! Heading, speed and position hints are set directly by the experiments
+//! that use them (ground truth or a scripted value); the paper's heading
+//! fusion (Sec. 2.2.2) and its GPS, indoor-speed and Wi-Fi localisation
+//! pipelines (Sec. 2.2.3) are not modelled.
 //!
 //! Downstream crates consume hints either directly (local protocols) or via
 //! the over-the-air hint protocol in `hint-mac`.
 
 pub mod accelerometer;
-pub mod compass;
-pub mod fusion;
 pub mod gps;
-pub mod gyro;
 pub mod hints;
 pub mod jerk;
 pub mod microphone;
 pub mod motion;
-pub mod speed;
-pub mod wifi_loc;
 
 pub use accelerometer::{Accelerometer, ForceReport, ACCEL_REPORT_PERIOD};
 pub use hints::{HeadingHint, MobilityHints, MovementHint, PositionHint, SpeedHint};

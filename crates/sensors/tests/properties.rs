@@ -1,8 +1,7 @@
 //! Property-based tests for sensor models and hint extraction.
 
 use hint_sensors::accelerometer::{Accelerometer, ForceReport, ACCEL_REPORT_PERIOD};
-use hint_sensors::compass::heading_difference;
-use hint_sensors::hints::{HeadingHint, SpeedHint};
+use hint_sensors::hints::{heading_difference, HeadingHint, SpeedHint};
 use hint_sensors::jerk::{MovementDetector, JERK_THRESHOLD};
 use hint_sensors::motion::{MotionProfile, MotionSegment, MotionState};
 use hint_sim::{RngStream, SimDuration, SimTime};

@@ -16,8 +16,6 @@
 //! * [`etx`] — the ETX route metric and the Sec. 4.2 wrong-link overhead
 //!   analysis (a δ = 0.25 estimate error can cost ~42% extra transmissions
 //!   on a hop).
-//! * [`mesh`] — a multi-relay mesh tying probing accuracy to realised ETX
-//!   routing penalties, end to end.
 //! * [`spatial`] — a uniform-grid index over coverage disks, so a
 //!   metro-scale fleet scan consults only the APs near the client
 //!   instead of every AP in the deployment (exact-equivalent to the
@@ -26,7 +24,6 @@
 pub mod adaptive;
 pub mod delivery;
 pub mod etx;
-pub mod mesh;
 pub mod probes;
 pub mod spatial;
 

@@ -1,15 +1,16 @@
 //! Quickstart: the sensor-hints pipeline in one minute.
 //!
 //! A phone alternates between standing still and walking. Its synthetic
-//! accelerometer feeds the paper's jerk detector; the hint service tracks
-//! the movement hint; the hint field it would stuff into outgoing frames
-//! mirrors it. Run with:
+//! accelerometer feeds the paper's jerk detector, which produces the
+//! phone's movement hint stream; the hint field it would stuff into
+//! outgoing frames mirrors it. Run with:
 //!
 //! ```text
 //! cargo run --example quickstart
 //! ```
 
-use sensor_hints::device::HintedDevice;
+use sensor_hints::mac::hint_proto::{HintField, HintWire};
+use sensor_hints::rateadapt::HintStream;
 use sensor_hints::sensors::MotionProfile;
 use sensor_hints::sim::{SimDuration, SimTime};
 
@@ -20,31 +21,22 @@ fn main() {
         SimDuration::from_secs(5),
         SimDuration::from_secs(5),
     );
-    let mut phone = HintedDevice::new(profile.clone(), 2026);
+    let hints = HintStream::from_sensors(&profile, profile.duration(), 2026);
 
-    println!("time   truth    movement-hint  heading-hint   frame-hint-bytes");
+    println!("time   truth    movement-hint  frame-hint-bytes");
     for half_secs in 0..30u64 {
         let t = SimTime::from_micros(half_secs * 500_000);
-        phone.advance_to(t);
-        let hints = phone.hints();
-        let field = phone.outgoing_hint_field();
+        let moving = hints.query(t);
+        let field = HintField::with_tlv(HintWire::Movement(moving));
         println!(
-            "{:>5}  {:>7}  {:>13}  {:>12}  {:>16}",
+            "{:>5}  {:>7}  {:>13}  {:>16}",
             format!("{t}"),
             if profile.is_moving_at(t) {
                 "moving"
             } else {
                 "static"
             },
-            match hints.movement {
-                Some(m) if m.is_moving() => "moving",
-                Some(_) => "static",
-                None => "-",
-            },
-            hints
-                .heading
-                .map(|h| format!("{:.0}°", h.degrees()))
-                .unwrap_or_else(|| "-".into()),
+            if moving { "moving" } else { "static" },
             field.wire_overhead_bytes(),
         );
     }

@@ -201,12 +201,14 @@ fn cmd_replay(path: &str, args: &[String]) -> ExitCode {
         Ok(t) => t,
         Err(c) => return c,
     };
-    let Some(kind) = flag(args, "--protocol").and_then(|p| ProtocolKind::from_name(&p)) else {
+    let protocol = flag(args, "--protocol");
+    let Some(kind) = protocol.as_deref().and_then(ProtocolKind::from_name) else {
         let names: Vec<&str> = ProtocolKind::ALL.iter().map(|k| k.name()).collect();
-        eprintln!(
-            "--protocol required (one of: {})",
-            names.join("|").to_ascii_lowercase()
-        );
+        let names = names.join("|").to_ascii_lowercase();
+        match protocol {
+            Some(p) => eprintln!("unknown protocol `{p}` (one of: {names})"),
+            None => eprintln!("--protocol required (one of: {names})"),
+        }
         return ExitCode::from(2);
     };
     let goodput = replay(&trace, kind, &workload_of(args));

@@ -1,31 +1,36 @@
 //! End-to-end integration: the full hint path of Fig. 2-1.
 //!
-//! receiver sensors → jerk detector → hint service → frame hint field →
-//! wire bytes → sender's neighbour table → hint-aware rate adaptation.
-//! Every hop uses the real implementation; nothing is mocked.
+//! receiver accelerometer → jerk detector → frame hint field → wire
+//! bytes → sender's neighbour table → hint-aware rate adaptation. Every
+//! hop uses the real implementation; nothing is mocked. The receiver's
+//! hint is the engine's one hint stream ([`HintStream::from_sensors`]).
 
 use sensor_hints::channel::{Environment, Trace};
-use sensor_hints::device::HintedDevice;
 use sensor_hints::mac::hint_proto::{HintField, HintWire};
 use sensor_hints::mac::{BitRate, MacTiming};
 use sensor_hints::neighbors::NeighborHints;
 use sensor_hints::rateadapt::protocols::{HintAware, RapidSample, RateAdapter, SampleRate};
+use sensor_hints::rateadapt::HintStream;
 use sensor_hints::sensors::MotionProfile;
 use sensor_hints::sim::{RngStream, SimDuration, SimTime};
 
+/// The hint field the receiver's frames carry: the movement bit plus the
+/// movement TLV.
+fn outgoing_hint_field(receiver: &HintStream, now: SimTime) -> HintField {
+    HintField::with_tlv(HintWire::Movement(receiver.query(now)))
+}
+
 /// Drive a rate adapter over a trace where the movement hint travels the
-/// real wire path from a receiver device. Returns goodput in bps.
-fn run_with_wire_hints(trace: &Trace, receiver: &mut HintedDevice, use_hints: bool) -> f64 {
+/// real wire path from a receiver's hint stream. Returns goodput in bps.
+fn run_with_wire_hints(trace: &Trace, receiver: &HintStream, use_hints: bool) -> f64 {
     let timing = MacTiming::ieee80211a();
     let mut sample = SampleRate::new();
-    let mut rapid = RapidSample::new();
     let mut hint_aware = HintAware::with_strategies(RapidSample::new(), SampleRate::new());
     let adapter: &mut dyn RateAdapter = if use_hints {
         &mut hint_aware
     } else {
         &mut sample
     };
-    let _ = &mut rapid;
 
     let mut neighbor_table: NeighborHints<u8> = NeighborHints::new();
     let mut rng = RngStream::new(trace.seed).derive("e2e-noise");
@@ -34,9 +39,6 @@ fn run_with_wire_hints(trace: &Trace, receiver: &mut HintedDevice, use_hints: bo
     let mut delivered = 0u64;
 
     while now < end {
-        // The receiver's sensing pipeline runs in real time.
-        receiver.advance_to(now);
-
         let rate = adapter.pick_rate(now);
         let ok = trace.fate(now, rate) && !rng.chance(trace.noise_loss);
         now += timing.exchange_airtime(rate, 1000);
@@ -47,10 +49,10 @@ fn run_with_wire_hints(trace: &Trace, receiver: &mut HintedDevice, use_hints: bo
             // The ACK carries the receiver's hint field: encode to the
             // two-byte wire form and decode on the sender side — the full
             // Sec. 2.3 path.
-            let field = receiver.outgoing_hint_field();
+            let field = outgoing_hint_field(receiver, now);
             let wire_bytes = field
                 .tlv
-                .expect("device always attaches a movement TLV")
+                .expect("the receiver always attaches a movement TLV")
                 .encode();
             let decoded = HintWire::decode(wire_bytes).expect("valid wire bytes");
             let rx_field = HintField::with_tlv(decoded);
@@ -69,10 +71,9 @@ fn wire_delivered_hints_beat_hint_free_samplerate_on_mixed_trace() {
     for seed in 0..4u64 {
         let profile = MotionProfile::half_and_half(SimDuration::from_secs(10), seed % 2 == 0);
         let trace = Trace::generate(&env, &profile, SimDuration::from_secs(20), 9000 + seed);
-        let mut rx1 = HintedDevice::new(profile.clone(), 100 + seed);
-        let mut rx2 = HintedDevice::new(profile.clone(), 100 + seed);
-        hint_total += run_with_wire_hints(&trace, &mut rx1, true);
-        plain_total += run_with_wire_hints(&trace, &mut rx2, false);
+        let receiver = HintStream::from_sensors(&profile, trace.duration(), 100 + seed);
+        hint_total += run_with_wire_hints(&trace, &receiver, true);
+        plain_total += run_with_wire_hints(&trace, &receiver, false);
     }
     // This test validates the *plumbing* — hints crossing the real wire
     // path must reach the adapter and help, not hurt. (Magnitude claims
@@ -88,20 +89,29 @@ fn wire_delivered_hints_beat_hint_free_samplerate_on_mixed_trace() {
 
 #[test]
 fn hint_field_wire_roundtrip_preserves_movement_through_table() {
-    // Focused wire-path check: device says moving → bytes → table.
-    let profile = MotionProfile::walking(SimDuration::from_secs(5), 1.4, 0.0);
-    let mut dev = HintedDevice::new(profile, 7);
-    dev.advance_to(SimTime::from_secs(3));
-    assert!(dev.hints().is_moving());
-
-    let bytes = dev.outgoing_hint_field().tlv.expect("tlv").encode();
-    let mut table: NeighborHints<u32> = NeighborHints::new();
-    table.on_frame(
-        42,
-        SimTime::from_secs(3),
-        &HintField::with_tlv(HintWire::decode(bytes).expect("valid")),
+    // Focused wire-path check, both ways: receiver's hint → bytes → table.
+    let profile = MotionProfile::static_move_static(
+        SimDuration::from_secs(3),
+        SimDuration::from_secs(3),
+        SimDuration::from_secs(3),
     );
-    assert!(table.is_moving(42));
+    let receiver = HintStream::from_sensors(&profile, profile.duration(), 7);
+    let mut table: NeighborHints<u32> = NeighborHints::new();
+    for (secs, moving) in [(1, false), (4, true), (8, false)] {
+        let now = SimTime::from_secs(secs);
+        assert_eq!(receiver.query(now), moving, "hint at {now}");
+
+        let bytes = outgoing_hint_field(&receiver, now)
+            .tlv
+            .expect("tlv")
+            .encode();
+        table.on_frame(
+            42,
+            now,
+            &HintField::with_tlv(HintWire::decode(bytes).expect("valid")),
+        );
+        assert_eq!(table.is_moving(42), moving, "table at {now}");
+    }
 }
 
 #[test]

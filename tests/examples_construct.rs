@@ -11,11 +11,11 @@
 use sensor_hints::ap::association::{choose_ap, ApCandidate, AssociationPolicy, ClientMotion};
 use sensor_hints::ap::disassociation::{fig_5_1_scenario, DisassociationPolicy, FairnessModel};
 use sensor_hints::ap::scheduler::{simulate_two_client_schedule, SchedulePolicy};
-use sensor_hints::device::HintedDevice;
+use sensor_hints::mac::hint_proto::{HintField, HintWire};
 use sensor_hints::mac::BitRate;
 use sensor_hints::rateadapt::protocols::{ProtocolKind, ProtocolParams};
 use sensor_hints::rateadapt::scenario::{EnvironmentSpec, MotionSpec, ScenarioBuilder};
-use sensor_hints::rateadapt::Workload;
+use sensor_hints::rateadapt::{HintStream, Workload};
 use sensor_hints::sensors::gps::Position;
 use sensor_hints::sensors::MotionProfile;
 use sensor_hints::sim::{RngStream, SimDuration, SimTime};
@@ -26,7 +26,7 @@ use sensor_hints::vehicular::links::{collect_links, table_5_1};
 use sensor_hints::vehicular::mobility::Fleet;
 use sensor_hints::vehicular::roads::RoadNetwork;
 
-/// `examples/quickstart.rs`: device pipeline from profile to hint field.
+/// `examples/quickstart.rs`: hint stream from profile to hint field.
 #[test]
 fn quickstart_scenario_constructs() {
     let profile = MotionProfile::static_move_static(
@@ -34,10 +34,11 @@ fn quickstart_scenario_constructs() {
         SimDuration::from_secs(5),
         SimDuration::from_secs(5),
     );
-    let mut phone = HintedDevice::new(profile, 2026);
-    phone.advance_to(SimTime::from_secs(7));
-    assert!(phone.hints().is_moving(), "mid-walk the hint must be up");
-    assert_eq!(phone.outgoing_hint_field().movement_hint(), Some(true));
+    let hints = HintStream::from_sensors(&profile, profile.duration(), 2026);
+    let moving = hints.query(SimTime::from_secs(7));
+    assert!(moving, "mid-walk the hint must be up");
+    let field = HintField::with_tlv(HintWire::Movement(moving));
+    assert_eq!(field.movement_hint(), Some(true));
 }
 
 /// `examples/supermarket.rs`: every protocol simulates the shopper's

@@ -77,11 +77,17 @@ fn replay_resolves_a_lowercase_protocol_name() {
 #[test]
 fn replay_of_an_unknown_protocol_exits_two_listing_the_names() {
     let trace = office_trace("bogus");
-    let out = hints_trace(&["replay", trace.to_str().unwrap(), "--protocol", "bogus"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        err,
-        "--protocol required (one of: hintaware|rapidsample|samplerate|rraa|rbar|charm)\n"
-    );
+    let names = "(one of: hintaware|rapidsample|samplerate|rraa|rbar|charm)\n";
+    // An unknown value is named; a missing flag is reported as missing.
+    for (flags, message) in [
+        (&["--protocol", "bogus"][..], "unknown protocol `bogus` "),
+        (&[][..], "--protocol required "),
+    ] {
+        let mut args = vec!["replay", trace.to_str().unwrap()];
+        args.extend_from_slice(flags);
+        let out = hints_trace(&args);
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err, format!("{message}{names}"));
+    }
 }
