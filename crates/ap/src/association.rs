@@ -9,6 +9,8 @@
 //! association lifetime*: how long the client's current course keeps it
 //! inside the AP's coverage disk, combined with whether the link is usable
 //! at all right now. The signal-strength policy is the baseline.
+//! [`best_ap`] is the one selection rule under either score; the fleet
+//! engine calls it with its handoff policy's score.
 
 use hint_sensors::gps::Position;
 
@@ -36,15 +38,6 @@ pub struct ClientMotion {
     pub heading_deg: f64,
     /// Speed, m/s.
     pub speed_mps: f64,
-}
-
-/// Association policies under comparison.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AssociationPolicy {
-    /// Pick the strongest signal (today's default).
-    StrongestSignal,
-    /// Pick the longest predicted association lifetime (hint-aware).
-    HintAware,
 }
 
 /// Predicted time (seconds) the client remains inside the AP's coverage
@@ -91,37 +84,24 @@ pub fn predicted_dwell_s(ap: &ApCandidate, client: &ClientMotion) -> f64 {
     }
 }
 
-/// Choose an AP from `candidates` under `policy`. Returns `None` when the
-/// scan is empty or (for the hint-aware policy) no AP covers the client.
-pub fn choose_ap(
+/// The best AP in `candidates` under `score` (signal: RSSI in dBm;
+/// hint: predicted dwell in seconds), with its score. The highest score
+/// wins, ties go to the stronger RSSI, then to the later candidate.
+/// `None` only for an empty scan.
+///
+/// Total over all `f64` inputs: `total_cmp`, not `partial_cmp`, so a NaN
+/// score or RSSI from a corrupt scan entry cannot panic the scan loop
+/// (NaN sorts above +inf in the IEEE total order, so such an entry can
+/// win; selection stays deterministic either way).
+pub fn best_ap(
     candidates: &[ApCandidate],
-    client: &ClientMotion,
-    policy: AssociationPolicy,
-) -> Option<usize> {
-    match policy {
-        AssociationPolicy::StrongestSignal => candidates
-            .iter()
-            // total_cmp, not partial_cmp: a NaN RSSI from a corrupt scan
-            // entry must not panic the scan loop (NaN sorts above +inf in
-            // the IEEE total order, so such an entry can win — selection
-            // stays total and deterministic either way).
-            .max_by(|a, b| a.rssi_dbm.total_cmp(&b.rssi_dbm))
-            .map(|ap| ap.id),
-        AssociationPolicy::HintAware => {
-            // Score by predicted dwell; break ties (e.g. two static-client
-            // infinities) by signal strength. `predicted_dwell_s` is total
-            // (never NaN), so total_cmp == partial_cmp on its outputs.
-            candidates
-                .iter()
-                .filter(|ap| predicted_dwell_s(ap, client) > 0.0)
-                .max_by(|a, b| {
-                    let da = predicted_dwell_s(a, client);
-                    let db = predicted_dwell_s(b, client);
-                    da.total_cmp(&db).then(a.rssi_dbm.total_cmp(&b.rssi_dbm))
-                })
-                .map(|ap| ap.id)
-        }
-    }
+    score: impl Fn(&ApCandidate) -> f64,
+) -> Option<(usize, f64)> {
+    candidates
+        .iter()
+        .map(|ap| (ap.id, score(ap), ap.rssi_dbm))
+        .max_by(|a, b| a.1.total_cmp(&b.1).then(a.2.total_cmp(&b.2)))
+        .map(|(id, score, _)| (id, score))
 }
 
 /// Hysteresis-gated handoff decision: switch from the association scored
@@ -143,12 +123,6 @@ pub fn should_handoff(current: Option<f64>, candidate: f64, margin: f64) -> bool
         None => !candidate.is_nan(),
         Some(cur) => candidate > cur + margin.max(0.0),
     }
-}
-
-/// Simulate the association lifetime actually achieved: seconds until the
-/// client's course leaves the chosen AP's coverage (capped at `horizon_s`).
-pub fn realized_lifetime_s(ap: &ApCandidate, client: &ClientMotion, horizon_s: f64) -> f64 {
-    predicted_dwell_s(ap, client).min(horizon_s)
 }
 
 #[cfg(test)]
@@ -206,25 +180,24 @@ mod tests {
         assert_eq!(predicted_dwell_s(&a, &c), f64::INFINITY);
     }
 
+    fn signal(ap: &ApCandidate) -> f64 {
+        ap.rssi_dbm
+    }
+
     #[test]
     fn hint_aware_prefers_ap_ahead() {
         // The paper's motivating example: AP 0 is behind the moving client
         // (stronger right now), AP 1 is ahead (slightly weaker). Signal
-        // policy picks 0; hint policy picks 1 and earns a much longer
+        // scoring picks 0; dwell scoring picks 1 and earns a much longer
         // association.
         let behind = ap(0, -20.0, 0.0, -45.0);
         let ahead = ap(1, 80.0, 0.0, -55.0);
         let c = walking_east(0.0, 0.0);
-        assert_eq!(
-            choose_ap(&[behind, ahead], &c, AssociationPolicy::StrongestSignal),
-            Some(0)
-        );
-        assert_eq!(
-            choose_ap(&[behind, ahead], &c, AssociationPolicy::HintAware),
-            Some(1)
-        );
-        let lt_signal = realized_lifetime_s(&behind, &c, 600.0);
-        let lt_hint = realized_lifetime_s(&ahead, &c, 600.0);
+        let dwell = |a: &ApCandidate| predicted_dwell_s(a, &c);
+        assert_eq!(best_ap(&[behind, ahead], signal), Some((0, -45.0)));
+        let (id, lt_hint) = best_ap(&[behind, ahead], dwell).expect("an AP");
+        assert_eq!(id, 1);
+        let lt_signal = predicted_dwell_s(&behind, &c);
         assert!(
             lt_hint > 1.5 * lt_signal,
             "hint {lt_hint:.0}s vs signal {lt_signal:.0}s"
@@ -241,18 +214,17 @@ mod tests {
             heading_deg: 0.0,
             speed_mps: 0.0,
         };
-        // Both dwell forever; tie broken by RSSI.
-        assert_eq!(
-            choose_ap(&[near, far], &c, AssociationPolicy::HintAware),
-            Some(0)
-        );
+        // Both dwell forever; tie broken by RSSI, as under signal scoring.
+        let dwell = |a: &ApCandidate| predicted_dwell_s(a, &c);
+        assert_eq!(best_ap(&[near, far], dwell), Some((0, f64::INFINITY)));
+        assert_eq!(best_ap(&[near, far], signal), Some((0, -40.0)));
     }
 
     #[test]
     fn empty_scan_returns_none() {
         let c = walking_east(0.0, 0.0);
-        assert_eq!(choose_ap(&[], &c, AssociationPolicy::HintAware), None);
-        assert_eq!(choose_ap(&[], &c, AssociationPolicy::StrongestSignal), None);
+        assert_eq!(best_ap(&[], |a| predicted_dwell_s(a, &c)), None);
+        assert_eq!(best_ap(&[], signal), None);
     }
 
     #[test]
@@ -272,17 +244,14 @@ mod tests {
         weird.heading_deg = 90.0;
         weird.speed_mps = f64::NAN;
         assert_eq!(predicted_dwell_s(&a, &weird), f64::INFINITY);
-        // NaN RSSI must not panic selection under either policy.
+        // NaN RSSI must not panic selection under either scoring.
         let nan_rssi = ApCandidate {
             rssi_dbm: f64::NAN,
             ..a
         };
-        for policy in [
-            AssociationPolicy::StrongestSignal,
-            AssociationPolicy::HintAware,
-        ] {
-            assert!(choose_ap(&[a, nan_rssi], &walking_east(0.0, 0.0), policy).is_some());
-        }
+        let c = walking_east(0.0, 0.0);
+        assert!(best_ap(&[a, nan_rssi], signal).is_some());
+        assert!(best_ap(&[a, nan_rssi], |ap| predicted_dwell_s(ap, &c)).is_some());
     }
 
     #[test]
@@ -306,9 +275,10 @@ mod tests {
         let unreachable = ap(0, 5000.0, 0.0, -30.0); // absurd RSSI, far away
         let ok = ap(1, 50.0, 0.0, -60.0);
         let c = walking_east(0.0, 0.0);
-        assert_eq!(
-            choose_ap(&[unreachable, ok], &c, AssociationPolicy::HintAware),
-            Some(1)
-        );
+        // Out of range dwells zero seconds, so any covering AP beats it;
+        // signal scoring falls for the absurd RSSI.
+        let dwell = |a: &ApCandidate| predicted_dwell_s(a, &c);
+        assert_eq!(best_ap(&[unreachable, ok], dwell).map(|b| b.0), Some(1));
+        assert_eq!(best_ap(&[unreachable, ok], signal).map(|b| b.0), Some(0));
     }
 }

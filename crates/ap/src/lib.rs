@@ -20,6 +20,6 @@ pub mod association;
 pub mod disassociation;
 pub mod scheduler;
 
-pub use association::{choose_ap, ApCandidate, AssociationPolicy, ClientMotion};
+pub use association::{best_ap, ApCandidate, ClientMotion};
 pub use disassociation::{ApSimulator, ClientConfig, DisassociationPolicy, FairnessModel};
 pub use scheduler::{simulate_two_client_schedule, ScheduleOutcome, SchedulePolicy};

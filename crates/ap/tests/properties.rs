@@ -1,8 +1,6 @@
 //! Property-based tests for AP policies.
 
-use hint_ap::association::{
-    choose_ap, predicted_dwell_s, should_handoff, ApCandidate, AssociationPolicy, ClientMotion,
-};
+use hint_ap::association::{best_ap, predicted_dwell_s, should_handoff, ApCandidate, ClientMotion};
 use hint_ap::disassociation::{ApSimulator, ClientConfig, DisassociationPolicy, FairnessModel};
 use hint_ap::scheduler::{simulate_two_client_schedule, SchedulePolicy};
 use hint_mac::BitRate;
@@ -47,10 +45,10 @@ proptest! {
         }
     }
 
-    /// choose_ap returns an id from the candidate list (or None), for
-    /// both policies, always.
+    /// best_ap returns an id from the candidate list, and None only for
+    /// an empty scan, under signal and dwell scoring alike.
     #[test]
-    fn choose_ap_total(
+    fn best_ap_total(
         n in 0usize..6,
         seedx in -300.0f64..300.0,
         heading in 0.0f64..360.0,
@@ -68,12 +66,13 @@ proptest! {
             })
             .collect();
         let c = client(0.0, 0.0, heading, speed);
-        for policy in [AssociationPolicy::StrongestSignal, AssociationPolicy::HintAware] {
-            match choose_ap(&candidates, &c, policy) {
-                Some(id) => prop_assert!(candidates.iter().any(|a| a.id == id)),
-                None => prop_assert!(
-                    candidates.is_empty() || policy == AssociationPolicy::HintAware
-                ),
+        for best in [
+            best_ap(&candidates, |a| a.rssi_dbm),
+            best_ap(&candidates, |a| predicted_dwell_s(a, &c)),
+        ] {
+            match best {
+                Some((id, _)) => prop_assert!(candidates.iter().any(|a| a.id == id)),
+                None => prop_assert!(candidates.is_empty()),
             }
         }
     }
@@ -113,8 +112,8 @@ proptest! {
     /// Association scoring is total: for ANY float inputs — including
     /// NaN and ±inf in positions, coverage, RSSI, heading, and speed —
     /// `predicted_dwell_s` returns a non-NaN, non-negative value and
-    /// `choose_ap` returns an id from the list (or None) without
-    /// panicking, under both policies.
+    /// `best_ap` returns an id from the list without panicking, under
+    /// signal and dwell scoring alike.
     #[test]
     fn association_scoring_is_total(
         raw in proptest::collection::vec(any::<f64>(), 12..13),
@@ -150,10 +149,11 @@ proptest! {
             prop_assert!(!d.is_nan(), "dwell NaN for {ap:?} / {c:?}");
             prop_assert!(d >= 0.0, "dwell negative: {d}");
         }
-        for policy in [AssociationPolicy::StrongestSignal, AssociationPolicy::HintAware] {
-            if let Some(id) = choose_ap(&candidates, &c, policy) {
-                prop_assert!(id < 2);
-            }
+        for best in [
+            best_ap(&candidates, |a| a.rssi_dbm),
+            best_ap(&candidates, |a| predicted_dwell_s(a, &c)),
+        ] {
+            prop_assert!(best.is_some_and(|(id, _)| id < 2));
         }
     }
 

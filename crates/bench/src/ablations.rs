@@ -20,15 +20,8 @@ use hint_topology::adaptive::{AdaptiveConfig, AdaptiveProber};
 use hint_topology::delivery::{actual_series, held_tracking_error};
 use hint_topology::ProbeStream;
 
-/// Sweep RapidSample's `δ_success` on mobile traces; returns
-/// `(delta_success_ms, mean goodput Mbps)` rows.
-pub fn rapidsample_delta_success() -> Vec<(u64, f64)> {
-    let (r, rows) = rapidsample_delta_success_report();
-    r.print();
-    rows
-}
-
-/// [`rapidsample_delta_success`] as a buffered job (runner entry point).
+/// Sweep RapidSample's `δ_success` on mobile traces; returns the output
+/// as a [`Report`] plus `(delta_success_ms, mean goodput Mbps)` rows.
 pub fn rapidsample_delta_success_report() -> (Report, Vec<(u64, f64)>) {
     let mut r = Report::new("ablation_delta_success");
     r.header("Ablation: RapidSample delta_success sweep (mobile, office, UDP)");
@@ -74,14 +67,8 @@ pub fn rapidsample_delta_success_report() -> (Report, Vec<(u64, f64)>) {
 }
 
 /// Sweep the movement-hint latency fed to the hint-aware protocol on
-/// mixed traces; returns `(latency_ms, mean goodput Mbps)` rows.
-pub fn hint_latency() -> Vec<(u64, f64)> {
-    let (r, rows) = hint_latency_report();
-    r.print();
-    rows
-}
-
-/// [`hint_latency`] as a buffered job (runner entry point).
+/// mixed traces; returns the output as a [`Report`] plus
+/// `(latency_ms, mean goodput Mbps)` rows.
 pub fn hint_latency_report() -> (Report, Vec<(u64, f64)>) {
     let mut r = Report::new("ablation_hint_latency");
     r.header("Ablation: movement-hint latency vs hint-aware goodput (mixed, TCP)");
@@ -120,15 +107,8 @@ pub fn hint_latency_report() -> (Report, Vec<(u64, f64)>) {
     (r, out)
 }
 
-/// Sweep the adaptive prober's hold-down; returns
-/// `(hold_down_ms, mean held tracking error)` rows.
-pub fn prober_hold_down() -> Vec<(u64, f64)> {
-    let (r, rows) = prober_hold_down_report();
-    r.print();
-    rows
-}
-
-/// [`prober_hold_down`] as a buffered job (runner entry point).
+/// Sweep the adaptive prober's hold-down; returns the output as a
+/// [`Report`] plus `(hold_down_ms, mean held tracking error)` rows.
 pub fn prober_hold_down_report() -> (Report, Vec<(u64, f64)>) {
     let mut r = Report::new("ablation_prober_hold_down");
     r.header("Ablation: adaptive prober hold-down vs tracking error (mixed trace)");
@@ -182,7 +162,7 @@ mod tests {
 
     #[test]
     fn delta_success_curve_is_flat() {
-        let rows = rapidsample_delta_success();
+        let rows = rapidsample_delta_success_report().1;
         let vals: Vec<f64> = rows.iter().map(|r| r.1).collect();
         let max = vals.iter().cloned().fold(f64::MIN, f64::max);
         let min = vals.iter().cloned().fold(f64::MAX, f64::min);
@@ -196,7 +176,7 @@ mod tests {
 
     #[test]
     fn hint_latency_degrades_gracefully() {
-        let rows = hint_latency();
+        let rows = hint_latency_report().1;
         // Sub-second latency costs little (< 10% vs zero-latency)...
         let at0 = rows[0].1;
         let at300 = rows.iter().find(|r| r.0 == 300).unwrap().1;
@@ -208,7 +188,7 @@ mod tests {
 
     #[test]
     fn hold_down_helps_but_plateaus() {
-        let rows = prober_hold_down();
+        let rows = prober_hold_down_report().1;
         let at0 = rows[0].1;
         let at1000 = rows.iter().find(|r| r.0 == 1000).unwrap().1;
         assert!(

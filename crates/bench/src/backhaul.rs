@@ -25,6 +25,7 @@
 //! buys nothing. The shape test pins this compression (a documented
 //! non-flip: hints never *lose*, they stop mattering).
 
+use crate::fleet::Comparison;
 use crate::report::Report;
 use crate::rline;
 use hint_cc::BackhaulSpec;
@@ -32,7 +33,6 @@ use hint_rateadapt::fleet::{FleetOutcome, FleetSpec};
 use hint_rateadapt::scenario::{HintSpec, MotionSpec};
 use hint_rateadapt::Workload;
 use hint_sim::SimDuration;
-use sensor_hints::fleet::FleetScenario;
 
 /// The fast wire: 100 Mbit/s, 2 ms, 50-packet queue — never the
 /// bottleneck against a ≤ 54 Mbit/s air link.
@@ -120,35 +120,14 @@ pub fn configurations() -> Vec<(&'static str, FleetSpec)> {
     ]
 }
 
-/// Per-configuration outcomes, in [`configurations`] order.
-#[derive(Clone, Debug)]
-pub struct BackhaulComparison {
-    /// Outcomes keyed by configuration label.
-    pub outcomes: Vec<(&'static str, FleetOutcome)>,
-}
-
-impl BackhaulComparison {
-    /// The outcome for a configuration label.
-    pub fn get(&self, label: &str) -> &FleetOutcome {
-        &self
-            .outcomes
-            .iter()
-            .find(|(l, _)| *l == label)
-            .expect("known configuration label")
-            .1
-    }
-
-    /// hint-aware ÷ legacy aggregate goodput for a bottleneck regime
-    /// (`"air-bound"` or `"wire-bound"`).
-    pub fn hint_gain(&self, regime: &str) -> f64 {
-        let hint = self
-            .get(&format!("{regime}, hint-aware"))
-            .aggregate_goodput_mbps;
-        let legacy = self
-            .get(&format!("{regime}, legacy"))
-            .aggregate_goodput_mbps;
-        hint / legacy
-    }
+/// hint-aware ÷ legacy aggregate goodput for a bottleneck regime
+/// (`"air-bound"` or `"wire-bound"`).
+pub fn hint_gain(cmp: &Comparison, regime: &str) -> f64 {
+    let hint = cmp
+        .get(&format!("{regime}, hint-aware"))
+        .aggregate_goodput_mbps;
+    let legacy = cmp.get(&format!("{regime}, legacy")).aggregate_goodput_mbps;
+    hint / legacy
 }
 
 /// Total queue drops across a fleet's clients.
@@ -159,28 +138,16 @@ pub fn total_backhaul_dropped(o: &FleetOutcome) -> u64 {
         .sum()
 }
 
-/// Run the comparison and print it.
-pub fn run() -> BackhaulComparison {
-    let (r, res) = report();
-    r.print();
-    res
-}
-
 /// Run the comparison, returning its output as a [`Report`] plus the
-/// outcomes (the job-runner entry point).
-pub fn report() -> (Report, BackhaulComparison) {
+/// outcomes.
+pub fn report() -> (Report, Comparison) {
     let mut r = Report::new("fig_backhaul");
     r.header("Backhaul: closed-loop flows, air-bound vs wire-bound bottleneck");
 
-    let outcomes: Vec<(&'static str, FleetOutcome)> = configurations()
-        .into_iter()
-        .map(|(label, spec)| {
-            let fleet = FleetScenario::compile(&spec).expect("battery fleet specs are valid");
-            (label, fleet.run())
-        })
-        .collect();
+    let res = Comparison::run(configurations());
 
-    let rows: Vec<Vec<String>> = outcomes
+    let rows: Vec<Vec<String>> = res
+        .outcomes
         .iter()
         .map(|(label, o)| {
             let ghost: f64 = o.aps.iter().map(|a| a.wasted_airtime_s).sum();
@@ -208,13 +175,12 @@ pub fn report() -> (Report, BackhaulComparison) {
         &rows,
     );
 
-    let res = BackhaulComparison { outcomes };
     r.blank();
     rline!(
         r,
         "hint/legacy goodput gain: {:.2}x air-bound, {:.2}x wire-bound.",
-        res.hint_gain("air-bound"),
-        res.hint_gain("wire-bound")
+        hint_gain(&res, "air-bound"),
+        hint_gain(&res, "wire-bound")
     );
     rline!(
         r,
@@ -278,8 +244,8 @@ mod tests {
         // The ordering claim (documented non-flip): hints win goodput
         // where the air is scarce, and the advantage compresses toward
         // parity when the wire is — it does not invert.
-        let air_gain = cmp.hint_gain("air-bound");
-        let wire_gain = cmp.hint_gain("wire-bound");
+        let air_gain = hint_gain(&cmp, "air-bound");
+        let wire_gain = hint_gain(&cmp, "wire-bound");
         assert!(
             air_gain > wire_gain,
             "hint advantage must compress when the bottleneck moves to \

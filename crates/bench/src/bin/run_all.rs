@@ -1,7 +1,7 @@
 //! Runs the experiment battery: every table and figure, or — with
 //! `--smoke` — a minimal slice through each subsystem so CI can prove the
-//! figure-regeneration binaries still run without paying for the full
-//! battery.
+//! experiments still run without paying for the full battery. It is the
+//! one entry point to every experiment: `--filter <job>` runs one.
 //!
 //! Flags (composable):
 //!

@@ -22,13 +22,13 @@
 //!    contention because the recovered airtime is worth real throughput
 //!    to the co-associated clients.
 
+use crate::fleet::Comparison;
 use crate::report::Report;
 use crate::rline;
 use hint_rateadapt::fleet::{FleetOutcome, FleetSpec, MediumSpec};
 use hint_rateadapt::scenario::{HintSpec, MotionSpec};
 use hint_rateadapt::Workload;
 use hint_sim::SimDuration;
-use sensor_hints::fleet::FleetScenario;
 
 /// Clients-per-AP counts the sweep visits.
 pub const SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -120,68 +120,30 @@ fn configurations(n: usize) -> [(&'static str, FleetSpec); 3] {
     ]
 }
 
-/// One sweep point's outcomes, in `configurations` order.
-#[derive(Clone, Debug)]
-pub struct SweepPoint {
-    /// Clients per AP at this point.
-    pub n_clients: usize,
-    /// `(label, outcome)` per configuration.
-    pub outcomes: Vec<(&'static str, FleetOutcome)>,
-}
-
-impl SweepPoint {
-    /// The outcome for a configuration label.
-    pub fn get(&self, label: &str) -> &FleetOutcome {
-        &self
-            .outcomes
-            .iter()
-            .find(|(l, _)| *l == label)
-            .expect("known configuration label")
-            .1
-    }
-}
-
 /// Total ghost (wasted) airtime across APs, seconds.
 pub fn ghost_airtime_s(o: &FleetOutcome) -> f64 {
     o.aps.iter().map(|a| a.wasted_airtime_s).sum()
 }
 
-/// Run the sweep and print it.
-pub fn run() -> Vec<SweepPoint> {
-    let (r, res) = report();
-    r.print();
-    res
-}
-
-/// Run the sweep, returning its output as a [`Report`] plus the
-/// outcomes (the job-runner entry point).
-pub fn report() -> (Report, Vec<SweepPoint>) {
+/// Run the sweep, returning its output as a [`Report`] plus each
+/// sweep point's outcomes.
+pub fn report() -> (Report, Vec<(usize, Comparison)>) {
     let mut r = Report::new("fig_contention");
     r.header("Contended medium: 1-8 clients per AP, isolated vs CSMA/CA-shared airtime");
 
-    let points: Vec<SweepPoint> = SWEEP
+    let points: Vec<(usize, Comparison)> = SWEEP
         .iter()
-        .map(|&n| SweepPoint {
-            n_clients: n,
-            outcomes: configurations(n)
-                .into_iter()
-                .map(|(label, spec)| {
-                    let fleet =
-                        FleetScenario::compile(&spec).expect("battery fleet specs are valid");
-                    (label, fleet.run())
-                })
-                .collect(),
-        })
+        .map(|&n| (n, Comparison::run(configurations(n))))
         .collect();
 
     let rows: Vec<Vec<String>> = points
         .iter()
-        .map(|p| {
+        .map(|(n, p)| {
             let iso = p.get("isolated");
             let legacy = p.get("shared, legacy");
             let hint = p.get("shared, hint-aware");
             vec![
-                format!("{}", p.n_clients),
+                format!("{n}"),
                 format!("{:.2}", iso.aggregate_goodput_mbps),
                 format!("{:.2}", legacy.aggregate_goodput_mbps),
                 format!("{:.2}", hint.aggregate_goodput_mbps),
@@ -243,7 +205,7 @@ mod tests {
     fn shape_holds() {
         let (_, points) = report();
         assert_eq!(points.len(), SWEEP.len());
-        let at = |n: usize| points.iter().find(|p| p.n_clients == n).expect("swept");
+        let at = |n: usize| &points.iter().find(|p| p.0 == n).expect("swept").1;
 
         // Isolated throughput is roughly additive in parked clients...
         let iso1 = at(1).get("isolated").aggregate_goodput_mbps;

@@ -21,15 +21,8 @@ pub struct EtxResult {
     pub sweep: Vec<(f64, bool, f64)>,
 }
 
-/// Run the analysis.
-pub fn run() -> EtxResult {
-    let (r, res) = report();
-    r.print();
-    res
-}
-
 /// Run the analysis, returning its output as a [`Report`] plus the
-/// numbers (the job-runner entry point).
+/// numbers.
 pub fn report() -> (Report, EtxResult) {
     let mut r = Report::new("etx_overhead");
     r.header("Sec. 4.2: ETX wrong-link overhead under estimate error");
@@ -80,7 +73,7 @@ pub fn report() -> (Report, EtxResult) {
 mod tests {
     #[test]
     fn paper_numbers_reproduced() {
-        let r = super::run();
+        let r = super::report().1;
         assert!((r.example_penalty - 5.0 / 12.0).abs() < 1e-12);
         assert!((r.example_overhead - 1.0 / 3.0).abs() < 1e-12);
         // Expected overhead grows with delta; impossible below the gap/2.

@@ -17,15 +17,9 @@ use hint_sensors::microphone::{ActivityProfile, DynamismDetector, Microphone};
 use hint_sim::{RngStream, SimDuration, SimTime};
 use sensor_hints::power::{PowerManager, PowerPolicy};
 
-/// Sec. 5.3 (a): cyclic-prefix choice by GPS-lock hint.
-/// Returns `(env, std_factor, ext_factor, hint_picks_winner)` rows.
-pub fn phy_cyclic_prefix() -> Vec<(String, f64, f64, bool)> {
-    let (r, rows) = phy_cyclic_prefix_report();
-    r.print();
-    rows
-}
-
-/// [`phy_cyclic_prefix`] as a buffered job (runner entry point).
+/// Sec. 5.3 (a): cyclic-prefix choice by GPS-lock hint. Returns the
+/// output as a [`Report`] plus `(env, std_factor, ext_factor,
+/// hint_picks_winner)` rows.
 pub fn phy_cyclic_prefix_report() -> (Report, Vec<(String, f64, f64, bool)>) {
     let mut r = Report::new("ext_phy_cyclic_prefix");
     r.header("Extension (Sec. 5.3): cyclic prefix vs environment, 54 Mbit/s @ 26 dB");
@@ -65,15 +59,8 @@ pub fn phy_cyclic_prefix_report() -> (Report, Vec<(String, f64, f64, bool)>) {
     (r, out)
 }
 
-/// Sec. 5.3 (b): frame-size cap by speed hint.
-/// Returns `(speed_mps, frame_cap_at_6mbps)` rows.
-pub fn phy_frame_cap() -> Vec<(f64, u32)> {
-    let (r, rows) = phy_frame_cap_report();
-    r.print();
-    rows
-}
-
-/// [`phy_frame_cap`] as a buffered job (runner entry point).
+/// Sec. 5.3 (b): frame-size cap by speed hint. Returns the output as a
+/// [`Report`] plus `(speed_mps, frame_cap_at_6mbps)` rows.
 pub fn phy_frame_cap_report() -> (Report, Vec<(f64, u32)>) {
     let mut r = Report::new("ext_phy_frame_cap");
     r.header("Extension (Sec. 5.3): frame cap vs speed (6 Mbit/s, half-coherence budget)");
@@ -105,15 +92,8 @@ pub fn phy_frame_cap_report() -> (Report, Vec<(f64, u32)>) {
 }
 
 /// Sec. 5.4: energy of hint-aware vs periodic scanning while a device
-/// waits, parked and unassociated, then walks for a while.
-/// Returns `(policy, energy_mj, scans)` rows.
-pub fn power_saving() -> Vec<(String, f64, u64)> {
-    let (r, rows) = power_saving_report();
-    r.print();
-    rows
-}
-
-/// [`power_saving`] as a buffered job (runner entry point).
+/// waits, parked and unassociated, then walks for a while. Returns the
+/// output as a [`Report`] plus `(policy, energy_mj, scans)` rows.
 pub fn power_saving_report() -> (Report, Vec<(String, f64, u64)>) {
     let mut r = Report::new("ext_power_saving");
     r.header("Extension (Sec. 5.4): radio energy while unassociated (10 min, 80% parked)");
@@ -164,14 +144,8 @@ pub fn power_saving_report() -> (Report, Vec<(String, f64, u64)>) {
 }
 
 /// Sec. 5.6: the microphone dynamism hint distinguishes quiet from busy
-/// surroundings. Returns `(env, dynamism fraction)` rows.
-pub fn microphone_dynamism() -> Vec<(String, f64)> {
-    let (r, rows) = microphone_dynamism_report();
-    r.print();
-    rows
-}
-
-/// [`microphone_dynamism`] as a buffered job (runner entry point).
+/// surroundings. Returns the output as a [`Report`] plus
+/// `(env, dynamism fraction)` rows.
 pub fn microphone_dynamism_report() -> (Report, Vec<(String, f64)>) {
     let mut r = Report::new("ext_microphone_dynamism");
     r.header("Extension (Sec. 5.6): microphone dynamism hint (600 s per environment)");
@@ -210,14 +184,14 @@ mod tests {
 
     #[test]
     fn gps_rule_picks_winner_everywhere() {
-        for (env, _, _, correct) in phy_cyclic_prefix() {
+        for (env, _, _, correct) in phy_cyclic_prefix_report().1 {
             assert!(correct, "{env}: GPS rule picked the losing prefix");
         }
     }
 
     #[test]
     fn frame_cap_monotone_in_speed() {
-        let rows = phy_frame_cap();
+        let rows = phy_frame_cap_report().1;
         for w in rows.windows(2) {
             assert!(w[0].1 >= w[1].1, "cap grew with speed: {rows:?}");
         }
@@ -226,7 +200,7 @@ mod tests {
 
     #[test]
     fn hint_power_saves_substantially() {
-        let rows = power_saving();
+        let rows = power_saving_report().1;
         let periodic = rows[0].1;
         let hinted = rows[1].1;
         assert!(
@@ -237,7 +211,7 @@ mod tests {
 
     #[test]
     fn microphone_separates_environments() {
-        let rows = microphone_dynamism();
+        let rows = microphone_dynamism_report().1;
         let quiet = rows[0].1;
         let busy = rows[1].1;
         assert!(busy > quiet + 0.3, "busy {busy} vs quiet {quiet}");

@@ -26,15 +26,8 @@ pub struct Fig22Result {
     pub fall_latency_ms: i64,
 }
 
-/// Run the experiment; prints the figure and returns the statistics.
-pub fn run() -> Fig22Result {
-    let (r, res) = report();
-    r.print();
-    res
-}
-
-/// Run the experiment, returning its output as a [`Report`] plus the
-/// statistics (the job-runner entry point).
+/// Run the experiment, returning the figure as a [`Report`] plus the
+/// statistics.
 pub fn report() -> (Report, Fig22Result) {
     let mut r = Report::new("fig_2_2");
     r.header("Fig. 2-2: jerk over time (static -> moving -> static)");
@@ -124,7 +117,7 @@ pub fn report() -> (Report, Fig22Result) {
 mod tests {
     #[test]
     fn shape_holds() {
-        let r = super::run();
+        let r = super::report().1;
         assert!(r.max_jerk_static < super::JERK_THRESHOLD);
         assert!(r.moving_exceed_frac > 0.1);
         assert!((0..=300).contains(&r.rise_latency_ms));

@@ -28,15 +28,8 @@ pub struct Fig31Result {
     pub mobile_coherence: Option<(usize, f64)>,
 }
 
-/// Run the experiment; prints the figure's rows and returns the curves.
-pub fn run() -> Fig31Result {
-    let (r, res) = report();
-    r.print();
-    res
-}
-
-/// Run the experiment, returning its output as a [`Report`] plus the
-/// curves (the job-runner entry point).
+/// Run the experiment, returning the figure's rows as a [`Report`] plus
+/// the curves.
 pub fn report() -> (Report, Fig31Result) {
     let mut r = Report::new("fig_3_1");
     r.header("Fig. 3-1: conditional loss probability vs lag k (54 Mbit/s)");
@@ -121,7 +114,7 @@ pub fn report() -> (Report, Fig31Result) {
 mod tests {
     #[test]
     fn shape_holds() {
-        let r = super::run();
+        let r = super::report().1;
         let lag1_mobile = r.mobile_curve[0].1;
         let lag1_static = r.static_curve[0].1;
         assert!(lag1_mobile > lag1_static, "mobile lag-1 must dominate");

@@ -100,16 +100,8 @@ impl Fig3 {
     }
 }
 
-/// Run one of the Fig. 3-x experiments with `n_traces` per environment.
-pub fn run(fig: Fig3, n_traces: usize) -> Vec<EnvScores> {
-    let (r, out) = report(fig, n_traces);
-    r.print();
-    out
-}
-
-/// Run one of the Fig. 3-x experiments, returning its output as a
-/// [`Report`] plus the per-environment scores (the job-runner entry
-/// point).
+/// Run one of the Fig. 3-x experiments with `n_traces` per environment,
+/// returning its output as a [`Report`] plus the per-environment scores.
 pub fn report(fig: Fig3, n_traces: usize) -> (Report, Vec<EnvScores>) {
     let mut r = Report::new(match fig {
         Fig3::MixedMobility => "fig_3_5",
@@ -187,7 +179,7 @@ mod tests {
 
     #[test]
     fn fig_3_5_hintaware_wins_everywhere() {
-        for env in run(Fig3::MixedMobility, 4) {
+        for env in report(Fig3::MixedMobility, 4).1 {
             let hint = norm_of(&env, ProtocolKind::HintAware);
             for p in [
                 ProtocolKind::SampleRate,
@@ -207,7 +199,7 @@ mod tests {
 
     #[test]
     fn fig_3_6_rapidsample_wins_mobile() {
-        for env in run(Fig3::Mobile, 4) {
+        for env in report(Fig3::Mobile, 4).1 {
             let rapid = norm_of(&env, ProtocolKind::RapidSample);
             let sample = norm_of(&env, ProtocolKind::SampleRate);
             assert!(rapid > sample, "{}: {rapid:.2} vs {sample:.2}", env.env);
@@ -216,7 +208,7 @@ mod tests {
 
     #[test]
     fn fig_3_7_samplerate_wins_static() {
-        for env in run(Fig3::Static, 4) {
+        for env in report(Fig3::Static, 4).1 {
             let rapid = norm_of(&env, ProtocolKind::RapidSample);
             let sample = norm_of(&env, ProtocolKind::SampleRate);
             assert!(
@@ -229,7 +221,7 @@ mod tests {
 
     #[test]
     fn fig_3_8_rapidsample_wins_vehicular() {
-        let envs = run(Fig3::Vehicular, 4);
+        let envs = report(Fig3::Vehicular, 4).1;
         let env = &envs[0];
         let rapid = norm_of(env, ProtocolKind::RapidSample);
         for p in [

@@ -25,15 +25,8 @@ pub struct Fig41Result {
     pub max_static_jump: f64,
 }
 
-/// Run the experiment over a 140 s static/mobile/static trace.
-pub fn run() -> Fig41Result {
-    let (r, res) = report();
-    r.print();
-    res
-}
-
-/// Run the experiment, returning its output as a [`Report`] plus the
-/// statistics (the job-runner entry point).
+/// Run the experiment over a 140 s static/mobile/static trace, returning
+/// its output as a [`Report`] plus the statistics.
 pub fn report() -> (Report, Fig41Result) {
     let mut r = Report::new("fig_4_1");
     r.header("Fig. 4-1: 6 Mbit/s delivery rate over time and movement");
@@ -104,7 +97,7 @@ pub fn report() -> (Report, Fig41Result) {
 mod tests {
     #[test]
     fn shape_holds() {
-        let r = super::run();
+        let r = super::report().1;
         assert!(r.max_moving_jump > 0.2, "moving jump {}", r.max_moving_jump);
         assert!(
             r.max_moving_jump > r.max_static_jump,

@@ -39,15 +39,8 @@ impl Fig4243Result {
     }
 }
 
-/// Run with `n_traces` 180 s traces per regime (the paper used 20).
-pub fn run(n_traces: u64) -> Fig4243Result {
-    let (r, res) = report(n_traces);
-    r.print();
-    res
-}
-
-/// Run the experiment, returning its output as a [`Report`] plus the
-/// curves (the job-runner entry point).
+/// Run with `n_traces` 180 s traces per regime (the paper used 20),
+/// returning the output as a [`Report`] plus the curves.
 pub fn report(n_traces: u64) -> (Report, Fig4243Result) {
     let mut r = Report::new("fig_4_2_4_3");
     r.header("Figs. 4-2 / 4-3: estimate error vs probing rate (static / mobile)");
@@ -139,7 +132,7 @@ pub fn report(n_traces: u64) -> (Report, Fig4243Result) {
 mod tests {
     #[test]
     fn shape_holds() {
-        let r = super::run(6);
+        let r = super::report(6).1;
         // Mobile error exceeds static error at every rate, by >=2x at 1/s.
         for (i, rate) in r.rates_hz.iter().enumerate() {
             assert!(

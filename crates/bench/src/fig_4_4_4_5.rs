@@ -24,16 +24,8 @@ pub struct TraceTracking {
     pub held_error: Vec<f64>,
 }
 
-/// Run both figures (25 s representative traces) and return the tracking
-/// errors (static, mobile).
-pub fn run() -> (TraceTracking, TraceTracking) {
-    let (r, res) = report();
-    r.print();
-    res
-}
-
-/// Run both figures, returning the output as a [`Report`] plus the
-/// tracking errors (static, mobile) — the job-runner entry point.
+/// Run both figures (25 s representative traces), returning the output
+/// as a [`Report`] plus the tracking errors (static, mobile).
 pub fn report() -> (Report, (TraceTracking, TraceTracking)) {
     let mut r = Report::new("fig_4_4_4_5");
     r.header("Figs. 4-4 / 4-5: delivery probability by probing rate over time");
@@ -115,7 +107,7 @@ pub fn report() -> (Report, (TraceTracking, TraceTracking)) {
 mod tests {
     #[test]
     fn shape_holds() {
-        let (stat, mobile) = super::run();
+        let (stat, mobile) = super::report().1;
         // Static: even 1 probe/s tracks decently (small error).
         assert!(
             stat.held_error[0] < 0.15,

@@ -32,15 +32,7 @@ pub struct Fig46Result {
 /// truth. The printed series is one representative trace; the reported
 /// errors average eight independent traces (single-trace errors are
 /// dominated by whether the mobile phase happened to cross a delivery
-/// cliff).
-pub fn run() -> Fig46Result {
-    let (r, res) = report();
-    r.print();
-    res
-}
-
-/// Run the experiment, returning its output as a [`Report`] plus the
-/// statistics (the job-runner entry point).
+/// cliff). Returns the output as a [`Report`] plus the statistics.
 pub fn report() -> (Report, Fig46Result) {
     let mut r = Report::new("fig_4_6");
     r.header("Fig. 4-6: delivery probability by probing strategy (combined trace)");
@@ -135,7 +127,7 @@ pub fn report() -> (Report, Fig46Result) {
 mod tests {
     #[test]
     fn shape_holds() {
-        let r = super::run();
+        let r = super::report().1;
         assert!(
             r.adaptive_err < r.fixed_err,
             "adaptive {} vs fixed {}",

@@ -26,15 +26,8 @@ pub struct Fig51Result {
     pub hint_aware_during_mbps: f64,
 }
 
-/// Run the scenario under all three policies.
-pub fn run() -> Fig51Result {
-    let (r, res) = report();
-    r.print();
-    res
-}
-
-/// Run the scenario, returning its output as a [`Report`] plus the
-/// statistics (the job-runner entry point).
+/// Run the scenario under all three policies, returning its output as a
+/// [`Report`] plus the statistics.
 pub fn report() -> (Report, Fig51Result) {
     let mut r = Report::new("fig_5_1");
     r.header("Fig. 5-1: two-client AP, client 2 departs at 35 s");
@@ -118,7 +111,7 @@ pub fn report() -> (Report, Fig51Result) {
 mod tests {
     #[test]
     fn shape_holds() {
-        let r = super::run();
+        let r = super::report().1;
         // Collapse under frame fairness.
         assert!(r.during_mbps < 0.35 * r.before_mbps);
         // Full recovery (roughly 2x the shared-era rate).

@@ -92,14 +92,27 @@ pub fn configurations() -> Vec<(&'static str, FleetSpec)> {
     ]
 }
 
-/// Per-configuration summary, in [`configurations`] order.
+/// Fleet outcomes keyed by configuration label, in configuration
+/// order: what every fleet comparison in the battery returns.
 #[derive(Clone, Debug)]
-pub struct FleetComparison {
-    /// Outcomes keyed by configuration label.
+pub struct Comparison {
+    /// `(label, outcome)` per configuration.
     pub outcomes: Vec<(&'static str, FleetOutcome)>,
 }
 
-impl FleetComparison {
+impl Comparison {
+    /// Compile and run each labelled spec, in order.
+    pub fn run(configs: impl IntoIterator<Item = (&'static str, FleetSpec)>) -> Comparison {
+        let outcomes = configs
+            .into_iter()
+            .map(|(label, spec)| {
+                let fleet = FleetScenario::compile(&spec).expect("battery fleet specs are valid");
+                (label, fleet.run())
+            })
+            .collect();
+        Comparison { outcomes }
+    }
+
     /// The outcome for a configuration label.
     pub fn get(&self, label: &str) -> &FleetOutcome {
         &self
@@ -111,28 +124,16 @@ impl FleetComparison {
     }
 }
 
-/// Run the comparison and print it.
-pub fn run() -> FleetComparison {
-    let (r, res) = report();
-    r.print();
-    res
-}
-
 /// Run the comparison, returning its output as a [`Report`] plus the
-/// outcomes (the job-runner entry point).
-pub fn report() -> (Report, FleetComparison) {
+/// outcomes.
+pub fn report() -> (Report, Comparison) {
     let mut r = Report::new("fig_fleet");
     r.header("Fleet: 4 clients x 2 APs, hint-aware association/handoff (Sec. 5.2)");
 
-    let outcomes: Vec<(&'static str, FleetOutcome)> = configurations()
-        .into_iter()
-        .map(|(label, spec)| {
-            let fleet = FleetScenario::compile(&spec).expect("battery fleet specs are valid");
-            (label, fleet.run())
-        })
-        .collect();
+    let res = Comparison::run(configurations());
 
-    let rows: Vec<Vec<String>> = outcomes
+    let rows: Vec<Vec<String>> = res
+        .outcomes
         .iter()
         .map(|(label, o)| {
             let ghost: f64 = o.aps.iter().map(|a| a.wasted_airtime_s).sum();
@@ -161,22 +162,16 @@ pub fn report() -> (Report, FleetComparison) {
     );
 
     r.blank();
-    let hint = outcomes
-        .iter()
-        .find(|(l, _)| *l == "hint-aware")
-        .map(|(_, o)| o);
-    if let Some(o) = hint {
-        for c in &o.clients {
-            let path: Vec<String> = c.aps_visited.iter().map(|a| format!("AP{a}")).collect();
-            rline!(
-                r,
-                "hint-aware client {}: {:>6.2} Mbit/s, {} handoffs, path {}",
-                c.client,
-                c.outcome.goodput_mbps(),
-                c.handoffs,
-                path.join(" -> ")
-            );
-        }
+    for c in &res.get("hint-aware").clients {
+        let path: Vec<String> = c.aps_visited.iter().map(|a| format!("AP{a}")).collect();
+        rline!(
+            r,
+            "hint-aware client {}: {:>6.2} Mbit/s, {} handoffs, path {}",
+            c.client,
+            c.outcome.goodput_mbps(),
+            c.handoffs,
+            path.join(" -> ")
+        );
     }
     rline!(
         r,
@@ -187,7 +182,6 @@ pub fn report() -> (Report, FleetComparison) {
         "aggregate goodput orders legacy < signal+hints <= hint policies."
     );
 
-    let res = FleetComparison { outcomes };
     (r, res)
 }
 

@@ -1,13 +1,14 @@
 //! # hint-bench — the experiment harness
 //!
 //! One module per table/figure of the paper's evaluation, each exposing a
-//! `report()` that regenerates the result and returns the same rows/series
-//! the paper reports as a buffered [`report::Report`], plus a `run()` that
-//! prints it (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-//! for paper-vs-measured values). The `src/bin/` wrappers make each
-//! experiment a standalone binary; `run_all` executes the whole battery
-//! through the [`runner`] job engine (`--jobs N --filter <substr>`),
-//! whose parallel output is byte-identical to a serial run.
+//! `report()` that regenerates the result and returns it as a buffered
+//! [`report::Report`] plus the same rows/series the paper reports (see
+//! EXPERIMENTS.md for the experiment index and paper-vs-measured values).
+//! The one entry point is `run_all`, which executes the battery through
+//! the [`runner`] job engine (`--jobs N`, `--filter <job>` for one
+//! experiment); its parallel output is byte-identical to a serial run.
+//! A new experiment is a `report()` plus a [`runner::Job`] in
+//! [`runner::full_battery`].
 //!
 //! Shape, not absolute numbers: the substrate is a synthetic channel, not
 //! the authors' testbed, so each experiment checks *who wins, by roughly

@@ -94,15 +94,8 @@ pub struct MetroSummary {
     pub outcome: FleetOutcome,
 }
 
-/// Run the metro fleet and print the summary.
-pub fn run() -> MetroSummary {
-    let (r, res) = report();
-    r.print();
-    res
-}
-
-/// Run the metro fleet, returning its output as a [`Report`] plus the
-/// outcome (the job-runner entry point).
+/// Run the metro fleet, returning its summary as a [`Report`] plus the
+/// outcome.
 pub fn report() -> (Report, MetroSummary) {
     let mut r = Report::new("fig_metro");
     r.header("Metro fleet: 224 clients x 32 APs, 1 s, shared medium (scaling)");

@@ -88,11 +88,6 @@ impl Report {
         self.text
             .push_str(&util::series(label, points, y_max, bar_width));
     }
-
-    /// Print the report to stdout (the standalone-binary path).
-    pub fn print(&self) {
-        print!("{}", self.text);
-    }
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@
 //! `shape_holds` test pins that hinted fallback degrades no worse than
 //! naive hint-trusting.
 
+use crate::fleet::Comparison;
 use crate::report::Report;
 use crate::rline;
 use hint_rateadapt::fleet::{
@@ -38,7 +39,6 @@ use hint_rateadapt::fleet::{
 use hint_rateadapt::scenario::{HintSpec, MotionSpec};
 use hint_rateadapt::Workload;
 use hint_sim::SimDuration;
-use sensor_hints::fleet::FleetScenario;
 
 /// Clients in the resilience fleet (7 per AP anchor).
 pub const RESILIENCE_CLIENTS: usize = 56;
@@ -202,51 +202,18 @@ pub fn configurations(duration: SimDuration) -> [(&'static str, FleetSpec); 4] {
     ]
 }
 
-/// The outcomes, in `configurations` order.
-#[derive(Clone, Debug)]
-pub struct ResilienceSummary {
-    /// `(label, outcome)` per configuration.
-    pub outcomes: Vec<(&'static str, FleetOutcome)>,
-}
-
-impl ResilienceSummary {
-    /// The outcome for a configuration label.
-    pub fn get(&self, label: &str) -> &FleetOutcome {
-        &self
-            .outcomes
-            .iter()
-            .find(|(l, _)| *l == label)
-            .expect("known configuration label")
-            .1
-    }
-}
-
 /// Total client outage across the fleet, seconds.
 pub fn total_outage_s(o: &FleetOutcome) -> f64 {
     o.clients.iter().map(|c| c.outage.as_secs_f64()).sum()
 }
 
-/// Run the comparison and print it.
-pub fn run() -> ResilienceSummary {
-    let (r, res) = report();
-    r.print();
-    res
-}
-
 /// Run the comparison, returning its output as a [`Report`] plus the
-/// outcomes (the job-runner entry point).
-pub fn report() -> (Report, ResilienceSummary) {
+/// outcomes.
+pub fn report() -> (Report, Comparison) {
     let mut r = Report::new("fig_resilience");
     r.header("Fault injection: 56 clients x 8 APs, 3 AP outages + hint dropouts + blackouts");
 
-    let outcomes: Vec<(&'static str, FleetOutcome)> = configurations(RESILIENCE_DURATION)
-        .into_iter()
-        .map(|(label, spec)| {
-            let fleet = FleetScenario::compile(&spec).expect("battery fleet specs are valid");
-            (label, fleet.run())
-        })
-        .collect();
-    let summary = ResilienceSummary { outcomes };
+    let summary = Comparison::run(configurations(RESILIENCE_DURATION));
 
     let rows: Vec<Vec<String>> = summary
         .outcomes
@@ -303,6 +270,7 @@ pub fn report() -> (Report, ResilienceSummary) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sensor_hints::fleet::FleetScenario;
 
     #[test]
     fn resilience_spec_shape() {

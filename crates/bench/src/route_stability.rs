@@ -25,15 +25,8 @@ pub struct RouteStabilityResult {
     pub n_routes: usize,
 }
 
-/// Run over `n_networks` dense fleets.
-pub fn run(n_networks: u64) -> RouteStabilityResult {
-    let (r, res) = report(n_networks);
-    r.print();
-    res
-}
-
-/// Run the experiment, returning its output as a [`Report`] plus the
-/// numbers (the job-runner entry point).
+/// Run over `n_networks` dense fleets, returning the output as a
+/// [`Report`] plus the numbers.
 pub fn report(n_networks: u64) -> (Report, RouteStabilityResult) {
     let mut r = Report::new("route_stability");
     r.header("Route stability (extension): CTE vs hint-free route lifetimes");
@@ -86,7 +79,7 @@ pub fn report(n_networks: u64) -> (Report, RouteStabilityResult) {
 mod tests {
     #[test]
     fn shape_holds() {
-        let r = super::run(2);
+        let r = super::report(2).1;
         assert!(r.n_routes >= 50);
         assert!(
             r.factor > 1.5,

@@ -27,15 +27,9 @@ pub struct Table51Result {
     pub total_links: usize,
 }
 
-/// Run with `n_networks` networks of `n_vehicles` each (paper: 15 × 100).
-pub fn run(n_networks: u64, n_vehicles: usize) -> Table51Result {
-    let (r, res) = report(n_networks, n_vehicles);
-    r.print();
-    res
-}
-
-/// Run the experiment, returning its output as a [`Report`] plus the
-/// table data (the job-runner entry point).
+/// Run with `n_networks` networks of `n_vehicles` each
+/// (paper: 15 × 100), returning the output as a [`Report`] plus the
+/// table data.
 pub fn report(n_networks: u64, n_vehicles: usize) -> (Report, Table51Result) {
     let mut r = Report::new("table_5_1");
     r.header("Table 5.1: median link duration (s) by initial heading difference");
@@ -92,7 +86,7 @@ mod tests {
     #[test]
     fn shape_holds() {
         // Scaled down: 4 networks x 100 vehicles.
-        let r = super::run(4, 100);
+        let r = super::report(4, 100).1;
         assert!(r.total_links > 2000, "links {}", r.total_links);
         // Aligned links far outlive opposed ones. (Strict bucket-to-bucket
         // monotonicity needs the full 15-network run — the middle buckets

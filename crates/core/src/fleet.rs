@@ -64,7 +64,7 @@
 //!   O(spans × trace length).
 
 use crate::neighbors::NeighborHints;
-use hint_ap::association::{predicted_dwell_s, should_handoff, ApCandidate, ClientMotion};
+use hint_ap::association::{best_ap, predicted_dwell_s, should_handoff, ApCandidate, ClientMotion};
 use hint_channel::delivery::best_rate_for_snr;
 use hint_channel::{delivery_table, Environment, Trace};
 use hint_mac::contention::{AirtimeArbiter, ContentionParams, GrantSchedule, Station};
@@ -586,35 +586,6 @@ fn merge_span(merged: &mut SimResult, from: SimTime, result: &SimResult) {
     }
 }
 
-/// Client `i`'s full-run hint stream under `spec.hints` (`None` for a
-/// hint-oblivious fleet), its reports counted into `work`.
-fn client_hints(
-    spec: &FleetSpec,
-    i: usize,
-    client_seed: u64,
-    profile: &MotionProfile,
-    work: &mut FleetWork,
-) -> Option<HintStream> {
-    let stream = match &spec.hints {
-        HintSpec::None => return None,
-        HintSpec::Oracle { latency } => HintStream::oracle(profile, spec.duration, *latency),
-        HintSpec::Sensors { seed: explicit } => {
-            // Per-client accelerometer noise: the fleet-level explicit
-            // seed (if any) is mixed per client so two clients never
-            // share a noise stream.
-            let hint_seed = match explicit {
-                Some(s) => RngStream::new(*s)
-                    .derive_idx("fleet-hints", i as u64)
-                    .seed(),
-                None => client_seed ^ HINT_SEED_MASK,
-            };
-            HintStream::from_sensors(profile, spec.duration, hint_seed)
-        }
-    };
-    work.hint_reports += stream.len() as u64;
-    Some(stream)
-}
-
 /// The Phase B arena: one task per span long enough to simulate. Every
 /// span's associated time counts into its AP's `association_s` whatever
 /// the span length; only the traffic simulation needs slots.
@@ -666,7 +637,15 @@ impl FleetScenario {
             );
             let seed = root.derive_idx("fleet-client", i as u64).seed();
             let profile = client.motion.profile(spec.duration);
-            let stream = client_hints(spec, i, seed, &profile, &mut compile_work);
+            // Per-client accelerometer noise: the fleet-level explicit
+            // seed (if any) is mixed per client so two clients never
+            // share a noise stream.
+            let sensor_seed = |explicit: Option<u64>| match explicit {
+                Some(s) => RngStream::new(s).derive_idx("fleet-hints", i as u64).seed(),
+                None => seed ^ HINT_SEED_MASK,
+            };
+            let stream = spec.hints.stream(&profile, spec.duration, sensor_seed);
+            compile_work.hint_reports += stream.as_ref().map_or(0, |s| s.len() as u64);
             paths.push(ClientPath::new(
                 Position {
                     x: client.start_x_m,
@@ -777,21 +756,6 @@ impl FleetScenario {
                 predicted_dwell_s(ap, client) / hint_topology::etx::etx(p)
             }
         }
-    }
-
-    /// The best candidate and its score (ties broken by RSSI, then by
-    /// the stable candidate order).
-    fn best_candidate(
-        &self,
-        policy: HandoffPolicy,
-        candidates: &[ApCandidate],
-        client: &ClientMotion,
-    ) -> Option<(usize, f64)> {
-        candidates
-            .iter()
-            .map(|ap| (ap.id, self.score(policy, ap, client), ap.rssi_dbm))
-            .max_by(|a, b| a.1.total_cmp(&b.1).then(a.2.total_cmp(&b.2)))
-            .map(|(id, score, _)| (id, score))
     }
 
     /// Run the fleet. Each call replays the identical experiment: every
@@ -980,7 +944,7 @@ impl FleetScenario {
                     .find(|ap| ap.id == cur)
                     .map(|ap| self.score(policy, ap, &client))
             });
-            let best = self.best_candidate(policy, &candidates, &client);
+            let best = best_ap(&candidates, |ap| self.score(policy, ap, &client));
 
             match (run.current, best) {
                 (Some(cur), _) if cur_score.is_none() => {

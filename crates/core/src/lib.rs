@@ -15,7 +15,6 @@
 //!
 //! | Module | Implements |
 //! |---|---|
-//! | [`hint`]    | The unified hint value type and its wire mapping |
 //! | [`neighbors`] | Per-neighbour hint tables fed by received frames |
 //! | [`power`]   | Movement-based radio power saving (Sec. 5.4) |
 //! | [`fleet`]   | The multi-client fleet engine |
@@ -48,7 +47,6 @@
 //! ```
 
 pub mod fleet;
-pub mod hint;
 pub mod neighbors;
 pub mod power;
 
@@ -77,5 +75,4 @@ pub use hint_vehicular as vehicular;
 pub use hint_ap as ap;
 
 pub use fleet::FleetScenario;
-pub use hint::Hint;
 pub use neighbors::NeighborHints;

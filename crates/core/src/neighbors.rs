@@ -6,8 +6,7 @@
 //! received frame's [`HintField`] updates the table; queries carry the
 //! update time so protocols can apply freshness rules.
 
-use crate::hint::Hint;
-use hint_mac::hint_proto::HintField;
+use hint_mac::hint_proto::{HintField, HintWire};
 use hint_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -54,10 +53,10 @@ impl<K: Ord + Copy> NeighborHints<K> {
             e.moving = Some(m);
         }
         if let Some(tlv) = hints.tlv {
-            match Hint::from_wire(tlv) {
-                Hint::Movement(m) => e.moving = Some(m),
-                Hint::Heading(h) => e.heading_deg = Some(h),
-                Hint::Speed(s) => e.speed_mps = Some(s),
+            match tlv {
+                HintWire::Movement(m) => e.moving = Some(m),
+                HintWire::Heading(h) => e.heading_deg = Some(h),
+                HintWire::Speed(s) => e.speed_mps = Some(s),
             }
         }
     }
@@ -93,7 +92,6 @@ impl<K: Ord + Copy> NeighborHints<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hint_mac::hint_proto::HintWire;
 
     #[test]
     fn frames_update_entries() {

@@ -22,7 +22,7 @@
 //! motion × workload × protocol-by-name × hints) compiles into a run —
 //! see the `scenario_run` binary for executing JSON spec files. The
 //! multi-trace evaluation harness in [`evaluate`] and the Fig. 3-5..3-8
-//! experiment binaries in the `hint-bench` crate are built on it.
+//! experiments in the `hint-bench` crate are built on it.
 //!
 //! The third workload is recorded rather than synthetic: the [`trace`]
 //! module defines a packet-trace format (text and binary), and

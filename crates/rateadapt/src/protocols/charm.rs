@@ -49,14 +49,6 @@ impl Charm {
         }
     }
 
-    /// CHARM with an explicit averaging time constant (seconds).
-    pub fn with_tau(tau_s: f64) -> Self {
-        assert!(tau_s > 0.0, "tau must be positive");
-        let mut c = Self::new();
-        c.tau_s = tau_s;
-        c
-    }
-
     /// The current averaged SNR, if any feedback has arrived.
     pub fn avg_snr_db(&self) -> Option<f64> {
         self.avg

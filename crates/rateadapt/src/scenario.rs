@@ -256,20 +256,25 @@ pub enum HintSpec {
 }
 
 impl HintSpec {
-    /// Materialise the hint stream for a compiled scenario.
-    fn stream(
+    /// Materialise the hint stream over `profile` (`None` for a
+    /// hint-oblivious run). `sensor_seed` turns the spec's explicit
+    /// accelerometer seed (if any) into the seed the detector runs on:
+    /// a single-link scenario defaults to `seed ^ HINT_SEED_MASK`, and
+    /// the fleet engine mixes the seed per client.
+    pub fn stream(
         &self,
         profile: &MotionProfile,
         duration: SimDuration,
-        scenario_seed: u64,
+        sensor_seed: impl FnOnce(Option<u64>) -> u64,
     ) -> Option<HintStream> {
         match self {
             HintSpec::None => None,
             HintSpec::Oracle { latency } => Some(HintStream::oracle(profile, duration, *latency)),
-            HintSpec::Sensors { seed } => {
-                let seed = seed.unwrap_or(scenario_seed ^ HINT_SEED_MASK);
-                Some(HintStream::from_sensors(profile, duration, seed))
-            }
+            HintSpec::Sensors { seed } => Some(HintStream::from_sensors(
+                profile,
+                duration,
+                sensor_seed(*seed),
+            )),
         }
     }
 }
@@ -389,7 +394,8 @@ impl ScenarioSpec {
             .map_err(ScenarioError::BadWorkload)?;
         let trace = Trace::generate(&environment, &profile, self.duration, self.seed);
         let mut sim = LinkSimulator::from_trace(trace).with_payload(self.payload_bytes);
-        if let Some(hints) = self.hints.stream(&profile, self.duration, self.seed) {
+        let sensor_seed = |explicit: Option<u64>| explicit.unwrap_or(self.seed ^ HINT_SEED_MASK);
+        if let Some(hints) = self.hints.stream(&profile, self.duration, sensor_seed) {
             sim = sim.with_owned_hints(hints);
         }
         if let Some(backhaul) = self.backhaul {
@@ -568,11 +574,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Select a fully custom channel environment.
-    pub fn custom_environment(self, env: Environment) -> Self {
-        self.environment(EnvironmentSpec::Custom(env))
-    }
-
     /// Select the ground-truth motion.
     pub fn motion(mut self, motion: MotionSpec) -> Self {
         self.spec.motion = motion;
@@ -623,12 +624,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Select the protocol with explicit parameters.
-    pub fn protocol_spec(mut self, protocol: ProtocolSpec) -> Self {
-        self.spec.protocol = protocol;
-        self
-    }
-
     /// Override SampleRate's averaging window.
     pub fn samplerate_window(mut self, window: SimDuration) -> Self {
         self.spec.protocol.samplerate_window = window;
@@ -639,11 +634,6 @@ impl ScenarioBuilder {
     pub fn hints(mut self, hints: HintSpec) -> Self {
         self.spec.hints = hints;
         self
-    }
-
-    /// No hint feed (the default).
-    pub fn no_hints(self) -> Self {
-        self.hints(HintSpec::None)
     }
 
     /// Ground-truth hints delayed by `latency`.

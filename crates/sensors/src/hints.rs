@@ -1,11 +1,10 @@
 //! Mobility hint values (Sec. 2.2).
 //!
 //! "Hints about mobility include movement, heading, speed and position."
-//! These are the value types the sensor layer produces and every hint-aware
-//! protocol consumes; the over-the-air encoding lives in `hint-mac`, and
-//! the publish/subscribe architecture in the `sensor-hints` core crate.
+//! The movement and speed hints are the value types that local hint-aware
+//! protocols consume; the over-the-air encoding, which also carries a
+//! heading, lives in `hint-mac`.
 
-use crate::gps::Position;
 use serde::{Deserialize, Serialize};
 
 /// Movement hint: "a boolean hint that is true if, and only if, a device is
@@ -17,38 +16,6 @@ impl MovementHint {
     /// True when the device is in motion.
     pub fn is_moving(self) -> bool {
         self.0
-    }
-}
-
-/// Heading hint in degrees `[0, 360)` clockwise from north (Sec. 2.2.2).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct HeadingHint(pub f64);
-
-impl HeadingHint {
-    /// Construct, normalising into `[0, 360)`.
-    pub fn new(deg: f64) -> Self {
-        HeadingHint(deg.rem_euclid(360.0))
-    }
-
-    /// Heading in degrees.
-    pub fn degrees(self) -> f64 {
-        self.0
-    }
-
-    /// Smallest absolute difference to another heading, degrees `[0, 180]`.
-    pub fn difference(self, other: HeadingHint) -> f64 {
-        heading_difference(self.0, other.0)
-    }
-}
-
-/// Smallest absolute angular difference between two headings, degrees
-/// `[0, 180]`.
-pub fn heading_difference(a_deg: f64, b_deg: f64) -> f64 {
-    let d = (a_deg - b_deg).rem_euclid(360.0);
-    if d > 180.0 {
-        360.0 - d
-    } else {
-        d
     }
 }
 
@@ -73,23 +40,14 @@ impl SpeedHint {
     }
 }
 
-/// Position hint on the local tangent plane (Sec. 2.2.3).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PositionHint(pub Position);
-
-/// A device's full current hint set, as a hint service would report when
-/// queried. Absent hints (e.g. heading indoors without a compass) are
-/// `None`.
+/// The hints a device currently reports. Absent hints (e.g. speed on a
+/// device with only an accelerometer) are `None`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MobilityHints {
     /// Movement hint, if the movement service is running.
     pub movement: Option<MovementHint>,
-    /// Heading hint, if available.
-    pub heading: Option<HeadingHint>,
     /// Speed hint, if available.
     pub speed: Option<SpeedHint>,
-    /// Position hint, if available.
-    pub position: Option<PositionHint>,
 }
 
 impl MobilityHints {
@@ -118,26 +76,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn heading_normalises() {
-        assert_eq!(HeadingHint::new(370.0).degrees(), 10.0);
-        assert_eq!(HeadingHint::new(-10.0).degrees(), 350.0);
-        assert!((HeadingHint::new(350.0).difference(HeadingHint::new(10.0)) - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn heading_difference_properties() {
-        assert_eq!(heading_difference(0.0, 0.0), 0.0);
-        assert_eq!(heading_difference(0.0, 180.0), 180.0);
-        assert!((heading_difference(350.0, 10.0) - 20.0).abs() < 1e-12);
-        assert!((heading_difference(10.0, 350.0) - 20.0).abs() < 1e-12);
-        assert!((heading_difference(90.0, 270.0) - 180.0).abs() < 1e-12);
-        // Symmetry.
-        for (a, b) in [(15.0, 200.0), (359.0, 1.0), (123.4, 321.0)] {
-            assert_eq!(heading_difference(a, b), heading_difference(b, a));
-        }
-    }
-
-    #[test]
     fn speed_clamps_and_converts() {
         assert_eq!(SpeedHint::new(-3.0).mps(), 0.0);
         assert!((SpeedHint::new(10.0).kmh() - 36.0).abs() < 1e-12);
@@ -150,6 +88,6 @@ mod tests {
         assert!(h.movement.is_none());
         let m = MobilityHints::movement_only(true);
         assert!(m.is_moving());
-        assert!(m.heading.is_none());
+        assert!(m.speed.is_none());
     }
 }

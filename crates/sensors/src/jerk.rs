@@ -99,11 +99,6 @@ impl MovementDetector {
         self.moving
     }
 
-    /// Number of reports consumed so far.
-    pub fn reports_seen(&self) -> u64 {
-        self.count
-    }
-
     /// Feed one force report; returns the jerk and updated hint.
     pub fn push(&mut self, report: &ForceReport) -> JerkSample {
         let n = self.count as usize;

@@ -14,9 +14,9 @@
 //!   reports, two adjacent 5-report averages, squared-difference "jerk"
 //!   value, threshold 3, 50-report hysteresis window. Detects transitions
 //!   in under 100 ms of simulated time (Fig. 2-2).
-//! * [`hints`] — the hint value types (movement, heading, speed, position)
-//!   that protocols consume, and [`gps::Position`], the local plane every
-//!   position hint lives on.
+//! * [`hints`] — the hint value types (movement, speed) that protocols
+//!   consume, and [`gps::Position`], the local plane every client and AP
+//!   position lives on.
 //! * [`microphone`] — Sec. 5.6's microphone (environment-dynamism) hint.
 //!
 //! The movement hint is the one hint every simulation path synthesizes.
@@ -36,6 +36,6 @@ pub mod microphone;
 pub mod motion;
 
 pub use accelerometer::{Accelerometer, ForceReport, ACCEL_REPORT_PERIOD};
-pub use hints::{HeadingHint, MobilityHints, MovementHint, PositionHint, SpeedHint};
+pub use hints::{MobilityHints, MovementHint, SpeedHint};
 pub use jerk::{MovementDetector, JERK_THRESHOLD};
 pub use motion::{MotionProfile, MotionSegment, MotionState, SegmentCursor};

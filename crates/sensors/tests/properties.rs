@@ -1,7 +1,7 @@
 //! Property-based tests for sensor models and hint extraction.
 
 use hint_sensors::accelerometer::{Accelerometer, ForceReport, ACCEL_REPORT_PERIOD};
-use hint_sensors::hints::{heading_difference, HeadingHint, SpeedHint};
+use hint_sensors::hints::SpeedHint;
 use hint_sensors::jerk::{MovementDetector, JERK_THRESHOLD};
 use hint_sensors::motion::{MotionProfile, MotionSegment, MotionState};
 use hint_sim::{RngStream, SimDuration, SimTime};
@@ -109,24 +109,6 @@ proptest! {
             final_state = s.moving;
         }
         prop_assert!(!final_state, "hint stuck after 100 quiet reports");
-    }
-
-    /// heading_difference is symmetric, bounded by [0,180], zero on self,
-    /// and invariant to full rotations.
-    #[test]
-    fn heading_difference_properties(a in -720.0f64..720.0, b in -720.0f64..720.0) {
-        let d = heading_difference(a, b);
-        prop_assert!((0.0..=180.0).contains(&d));
-        prop_assert!((heading_difference(b, a) - d).abs() < 1e-9);
-        prop_assert!(heading_difference(a, a) < 1e-9);
-        prop_assert!((heading_difference(a + 360.0, b) - d).abs() < 1e-9);
-    }
-
-    /// HeadingHint normalisation always lands in [0,360).
-    #[test]
-    fn heading_hint_normalises(deg in -1e4f64..1e4) {
-        let h = HeadingHint::new(deg);
-        prop_assert!((0.0..360.0).contains(&h.degrees()));
     }
 
     /// SpeedHint is never negative and converts consistently.

@@ -104,11 +104,6 @@ impl<E> EventQueue<E> {
         Some(ev)
     }
 
-    /// The firing time of the next event, if any, without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Current simulation clock (time of the most recently popped event).
     pub fn now(&self) -> SimTime {
         self.now
@@ -163,15 +158,6 @@ mod tests {
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   ([`rng::RngStream`]) built on xoshiro256++ so that adding a stochastic
 //!   component never perturbs the draws of another.
 //! * [`stats`] — descriptive statistics used throughout the evaluation:
-//!   online mean/variance (Welford), 95% confidence intervals, percentiles,
-//!   EWMA, and histograms.
+//!   online mean/variance (Welford), 95% confidence intervals and
+//!   percentiles.
 //! * [`events`] — a discrete-event queue with stable FIFO ordering among
 //!   simultaneous events.
 //! * [`series`] — time-series bucketing used to regenerate the paper's
@@ -35,5 +35,5 @@ pub mod time;
 
 pub use events::{EventQueue, ScheduledEvent};
 pub use rng::RngStream;
-pub use stats::{ci95, mean, median, percentile, stddev, Ewma, Histogram, OnlineStats};
+pub use stats::{ci95, mean, median, percentile, stddev, OnlineStats};
 pub use time::{SimDuration, SimTime};

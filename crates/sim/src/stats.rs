@@ -3,8 +3,7 @@
 //! The paper reports average throughputs with 95% confidence intervals
 //! (Figs. 3-5..3-8), average absolute errors with standard deviations
 //! (Figs. 4-2, 4-3), and medians over link populations (Table 5.1). This
-//! module provides exactly those estimators, plus the EWMA used by CHARM's
-//! SNR averaging.
+//! module provides exactly those estimators.
 
 /// Arithmetic mean of a slice. Returns 0.0 for an empty slice (the
 /// evaluation code treats "no samples" as zero signal, never as NaN).
@@ -161,116 +160,6 @@ impl OnlineStats {
     }
 }
 
-/// Exponentially weighted moving average.
-///
-/// Used by CHARM-style SNR smoothing and by delivery-probability trackers.
-/// `alpha` is the weight of each *new* sample; the first sample initialises
-/// the average directly.
-#[derive(Clone, Copy, Debug)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Create an EWMA with new-sample weight `alpha ∈ (0, 1]`.
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside `(0, 1]` — a configuration bug, not a
-    /// runtime condition.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha {alpha} out of (0,1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Fold one sample in and return the updated average.
-    pub fn update(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(v) => v + self.alpha * (x - v),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current average, if any sample has been seen.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Forget all history.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
-/// A fixed-width histogram over `[lo, hi)` with out-of-range clamping,
-/// used for distribution summaries in EXPERIMENTS.md.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    count: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `nbins` equal-width bins spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `nbins == 0` or `hi <= lo` (configuration bug).
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(nbins > 0 && hi > lo, "invalid histogram config");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            count: 0,
-        }
-    }
-
-    /// Add a sample; values outside `[lo, hi)` clamp to the edge bins.
-    pub fn push(&mut self, x: f64) {
-        let n = self.bins.len();
-        let idx = if x < self.lo {
-            0
-        } else if x >= self.hi {
-            n - 1
-        } else {
-            (((x - self.lo) / (self.hi - self.lo)) * n as f64) as usize
-        };
-        self.bins[idx.min(n - 1)] += 1;
-        self.count += 1;
-    }
-
-    /// Raw bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Total number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Fraction of samples in each bin (empty histogram yields zeros).
-    pub fn normalized(&self) -> Vec<f64> {
-        if self.count == 0 {
-            return vec![0.0; self.bins.len()];
-        }
-        self.bins
-            .iter()
-            .map(|&c| c as f64 / self.count as f64)
-            .collect()
-    }
-
-    /// Midpoint of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + w * (i as f64 + 0.5)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,36 +230,5 @@ mod tests {
         let mut e = OnlineStats::new();
         e.merge(&a);
         assert_eq!(e.mean(), a.mean());
-    }
-
-    #[test]
-    fn ewma_first_sample_initialises() {
-        let mut e = Ewma::new(0.1);
-        assert_eq!(e.value(), None);
-        assert_eq!(e.update(10.0), 10.0);
-        let v = e.update(20.0);
-        assert!((v - 11.0).abs() < 1e-12);
-        e.reset();
-        assert_eq!(e.value(), None);
-    }
-
-    #[test]
-    #[should_panic]
-    fn ewma_rejects_zero_alpha() {
-        let _ = Ewma::new(0.0);
-    }
-
-    #[test]
-    fn histogram_clamps_and_normalizes() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [-1.0, 0.0, 3.0, 9.999, 10.0, 42.0] {
-            h.push(x);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.bins()[0], 2); // -1 clamped, 0.0
-        assert_eq!(h.bins()[4], 3); // 9.999, 10.0 clamped, 42 clamped
-        let norm = h.normalized();
-        assert!((norm.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
     }
 }

@@ -68,11 +68,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked subtraction of another instant, yielding the span between them.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -255,8 +250,6 @@ mod tests {
         let b = SimTime::from_secs(2);
         assert_eq!(b.saturating_since(a).as_secs_f64(), 1.0);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-        assert_eq!(a.checked_since(b), None);
-        assert_eq!(b.checked_since(a), Some(SimDuration::from_secs(1)));
     }
 
     #[test]

@@ -145,6 +145,7 @@ mod tests {
     use crate::mobility::Fleet;
     use crate::roads::{Point, RoadNetwork};
     use hint_sim::RngStream;
+    use proptest::{prop_assert, proptest};
 
     fn state(x: f64, y: f64, h: f64) -> VehicleState {
         VehicleState {
@@ -228,5 +229,18 @@ mod tests {
         assert_eq!(heading_difference(0.0, 180.0), 180.0);
         assert_eq!(heading_difference(10.0, 350.0), 20.0);
         assert_eq!(heading_difference(90.0, 90.0), 0.0);
+    }
+
+    proptest! {
+        /// heading_difference is symmetric, bounded by [0,180], zero on self,
+        /// and invariant to full rotations.
+        #[test]
+        fn heading_difference_properties(a in -720.0f64..720.0, b in -720.0f64..720.0) {
+            let d = heading_difference(a, b);
+            prop_assert!((0.0..=180.0).contains(&d));
+            prop_assert!((heading_difference(b, a) - d).abs() < 1e-9);
+            prop_assert!(heading_difference(a, a) < 1e-9);
+            prop_assert!((heading_difference(a + 360.0, b) - d).abs() < 1e-9);
+        }
     }
 }

@@ -7,9 +7,7 @@
 //! cargo run --release --example ap_handoff
 //! ```
 
-use sensor_hints::ap::association::{
-    choose_ap, realized_lifetime_s, ApCandidate, AssociationPolicy, ClientMotion,
-};
+use sensor_hints::ap::association::{best_ap, predicted_dwell_s, ApCandidate, ClientMotion};
 use sensor_hints::ap::disassociation::{fig_5_1_scenario, DisassociationPolicy, FairnessModel};
 use sensor_hints::ap::scheduler::{simulate_two_client_schedule, SchedulePolicy};
 use sensor_hints::mac::BitRate;
@@ -37,16 +35,20 @@ fn main() {
         heading_deg: 90.0,
         speed_mps: 1.4,
     };
-    for (policy, name) in [
-        (AssociationPolicy::StrongestSignal, "strongest-signal"),
-        (AssociationPolicy::HintAware, "hint-aware      "),
+    let dwell = |ap: &ApCandidate| predicted_dwell_s(ap, &client);
+    for (name, best) in [
+        (
+            "strongest-signal",
+            best_ap(&[behind, ahead], |ap| ap.rssi_dbm),
+        ),
+        ("hint-aware      ", best_ap(&[behind, ahead], dwell)),
     ] {
-        let pick = choose_ap(&[behind, ahead], &client, policy).expect("an AP");
+        let (pick, _) = best.expect("an AP");
         let ap = if pick == 0 { &behind } else { &ahead };
         println!(
             "   {name} picks AP {pick} ({} dBm) -> association lasts {:.0} s",
             ap.rssi_dbm,
-            realized_lifetime_s(ap, &client, 600.0)
+            dwell(ap)
         );
     }
 

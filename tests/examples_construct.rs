@@ -8,7 +8,7 @@
 //! sane output. The examples themselves are also compiled by CI via
 //! `cargo test`, which builds example targets.
 
-use sensor_hints::ap::association::{choose_ap, ApCandidate, AssociationPolicy, ClientMotion};
+use sensor_hints::ap::association::{best_ap, predicted_dwell_s, ApCandidate, ClientMotion};
 use sensor_hints::ap::disassociation::{fig_5_1_scenario, DisassociationPolicy, FairnessModel};
 use sensor_hints::ap::scheduler::{simulate_two_client_schedule, SchedulePolicy};
 use sensor_hints::mac::hint_proto::{HintField, HintWire};
@@ -111,12 +111,12 @@ fn ap_handoff_scenario_constructs() {
         heading_deg: 90.0,
         speed_mps: 1.4,
     };
-    for policy in [
-        AssociationPolicy::StrongestSignal,
-        AssociationPolicy::HintAware,
-    ] {
-        choose_ap(&[behind, ahead], &client, policy).expect("an AP in range");
-    }
+    assert_eq!(
+        best_ap(&[behind, ahead], |ap| ap.rssi_dbm).map(|b| b.0),
+        Some(0)
+    );
+    let dwell = best_ap(&[behind, ahead], |ap| predicted_dwell_s(ap, &client));
+    assert_eq!(dwell.map(|b| b.0), Some(1));
 
     let out =
         simulate_two_client_schedule(SchedulePolicy::EqualShare, BitRate::R54, 2_000, 10.0, 60.0);
