@@ -5,8 +5,8 @@
 //! hop is the scarce resource, so airtime saved by hints converts
 //! directly into goodput. This one adds the wire behind each AP. Four
 //! configurations of the same two-AP office floor, all running the
-//! closed-loop [`Workload::flow`] (Reno over a drop-tail queue) instead
-//! of open-loop saturation:
+//! closed-loop [`hint_rateadapt::Workload::flow`] (Reno over a
+//! drop-tail queue) instead of open-loop saturation:
 //!
 //! 1. **air-bound, legacy** — 100 Mbit/s backhaul (never the
 //!    bottleneck), no hints, signal-strength handoff.
@@ -25,13 +25,12 @@
 //! buys nothing. The shape test pins this compression (a documented
 //! non-flip: hints never *lose*, they stop mattering).
 
-use crate::fleet::Comparison;
+use crate::fleet::{checked_in, with_policy, Comparison};
 use crate::report::Report;
 use crate::rline;
 use hint_cc::BackhaulSpec;
 use hint_rateadapt::fleet::{FleetOutcome, FleetSpec};
-use hint_rateadapt::scenario::{HintSpec, MotionSpec};
-use hint_rateadapt::Workload;
+use hint_rateadapt::scenario::HintSpec;
 use hint_sim::SimDuration;
 
 /// The fast wire: 100 Mbit/s, 2 ms, 50-packet queue — never the
@@ -44,78 +43,36 @@ pub fn fast_wire() -> BackhaulSpec {
     }
 }
 
-/// The slow wire: 2 Mbit/s, 2 ms, 8-packet queue — a DSL-class uplink
-/// that throttles every client no matter how good the air is.
-pub fn slow_wire() -> BackhaulSpec {
-    BackhaulSpec {
-        rate_bps: 2_000_000,
-        delay: SimDuration::from_millis(2),
-        queue_pkts: 8,
-    }
-}
-
-/// The backhaul office floor — the [`crate::fleet::office_walk_fleet`]
-/// geometry (two 65 m APs 120 m apart, two crossing walkers, two
-/// parked clients) with every client on the closed-loop flow workload
-/// and a wired backhaul behind each AP. With the slow wire, the
-/// `hint-aware` policy and sensor hints this is exactly the checked-in
-/// `scenarios/fleet_backhaul_office.json`.
-pub fn backhaul_office_fleet(policy: &str, hints: HintSpec, wire: BackhaulSpec) -> FleetSpec {
-    FleetSpec::builder()
-        .bounds(200.0, 100.0)
-        .ap_with_backhaul(40.0, 50.0, 65.0, wire)
-        .ap_with_backhaul(160.0, 50.0, 65.0, wire)
-        .client(
-            5.0,
-            50.0,
-            MotionSpec::Walking {
-                speed_mps: 1.6,
-                heading_deg: 90.0,
-            },
-            Workload::flow(),
-        )
-        .client(
-            195.0,
-            50.0,
-            MotionSpec::Walking {
-                speed_mps: 1.6,
-                heading_deg: 270.0,
-            },
-            Workload::flow(),
-        )
-        .client(30.0, 40.0, MotionSpec::Stationary, Workload::flow())
-        .client(
-            100.0,
-            60.0,
-            MotionSpec::HalfAndHalf { static_first: true },
-            Workload::flow(),
-        )
-        .duration(SimDuration::from_secs(90))
-        .seed(0xBACC4A)
-        .protocol("HintAware")
-        .handoff_policy(policy)
-        .hints(hints)
-        .into_spec()
-}
-
 /// The four configurations under comparison, in presentation order.
+/// The wire-bound rows are `scenarios/fleet_backhaul_office.json` (the
+/// `fig_fleet` geometry with every client on the closed-loop flow
+/// workload behind a 2 Mbit/s, 8-packet backhaul per AP); the air-bound
+/// rows swap every AP's backhaul for [`fast_wire`].
 pub fn configurations() -> Vec<(&'static str, FleetSpec)> {
+    let wire_bound = checked_in(include_str!(
+        "../../../scenarios/fleet_backhaul_office.json"
+    ));
+    let mut air_bound = wire_bound.clone();
+    for ap in &mut air_bound.aps {
+        ap.backhaul = Some(fast_wire());
+    }
+    let sensors = || HintSpec::Sensors { seed: None };
     vec![
         (
             "air-bound, legacy",
-            backhaul_office_fleet("strongest-signal", HintSpec::None, fast_wire()),
+            with_policy(&air_bound, "strongest-signal", HintSpec::None),
         ),
         (
             "air-bound, hint-aware",
-            backhaul_office_fleet("hint-aware", HintSpec::Sensors { seed: None }, fast_wire()),
+            with_policy(&air_bound, "hint-aware", sensors()),
         ),
         (
             "wire-bound, legacy",
-            backhaul_office_fleet("strongest-signal", HintSpec::None, slow_wire()),
+            with_policy(&wire_bound, "strongest-signal", HintSpec::None),
         ),
         (
             "wire-bound, hint-aware",
-            backhaul_office_fleet("hint-aware", HintSpec::Sensors { seed: None }, slow_wire()),
+            with_policy(&wire_bound, "hint-aware", sensors()),
         ),
     ]
 }
@@ -218,6 +175,15 @@ mod tests {
         // capped by the 2 Mbit/s backhaul (aggregate by 4x that), far
         // below the air-bound runs, and its queue visibly tail-drops.
         for o in [wire_legacy, wire_hint] {
+            for c in &o.clients {
+                assert!(
+                    c.outcome.goodput_mbps() <= 2.0 + 1e-9,
+                    "{}: client {} at {} Mbit/s exceeds the 2 Mbit/s wire",
+                    o.policy,
+                    c.client,
+                    c.outcome.goodput_mbps()
+                );
+            }
             assert!(
                 o.aggregate_goodput_mbps < 4.0 * 2.0,
                 "{}: wire-bound aggregate {} exceeds 4 x wire rate",

@@ -21,7 +21,7 @@
 use hint_bench::runner::{
     battery_index, full_battery, run_jobs_with, select_jobs, smoke_battery, Job,
 };
-use std::io::Write;
+use std::io::{self, Write};
 use std::num::NonZeroUsize;
 
 const USAGE: &str = "usage: run_all [--smoke] [--jobs N] [--filter SUBSTRING] [--list]\n\
@@ -77,9 +77,21 @@ fn parse_args(args: &[String]) -> Options {
     opts
 }
 
+/// Write `text` to stdout and flush it. A closed stdout (`run_all |
+/// head`) ends the run at once with exit code 1, without a panic.
+fn emit(out: &mut impl Write, text: &str) {
+    if let Err(e) = write!(out, "{text}").and_then(|()| out.flush()) {
+        if e.kind() != io::ErrorKind::BrokenPipe {
+            eprintln!("run_all: cannot write to stdout: {e}");
+        }
+        std::process::exit(1);
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_args(&args);
+    let mut out = io::stdout().lock();
 
     let battery: Vec<Job> = if opts.smoke {
         smoke_battery()
@@ -96,7 +108,7 @@ fn main() {
     if opts.list {
         // --list composes with --smoke and --filter: print exactly the
         // jobs a run with the same flags would execute.
-        print!("{}", battery_index(&selected));
+        emit(&mut out, &battery_index(&selected));
         return;
     }
 
@@ -104,21 +116,17 @@ fn main() {
     let start = std::time::Instant::now();
     // Stdout: the experiments stream in battery order as each finished
     // prefix lands — identical bytes for any --jobs.
-    let reports = run_jobs_with(selected, opts.jobs, |report| {
-        print!("{}", report.text);
-        let _ = std::io::stdout().flush();
-    });
+    let reports = run_jobs_with(selected, opts.jobs, |report| emit(&mut out, &report.text));
     let wall = start.elapsed();
 
-    match (&opts.filter, opts.smoke) {
-        (Some(f), _) => {
-            println!("\n{n_selected} of {total} experiments complete (filter: `{f}`).")
-        }
-        (None, true) => println!("\nSmoke battery complete."),
+    let footer = match (&opts.filter, opts.smoke) {
+        (Some(f), _) => format!("{n_selected} of {total} experiments complete (filter: `{f}`)."),
+        (None, true) => "Smoke battery complete.".to_string(),
         (None, false) => {
-            println!("\nAll experiments complete. Paper-vs-measured: see EXPERIMENTS.md")
+            "All experiments complete. Paper-vs-measured: see EXPERIMENTS.md".to_string()
         }
-    }
+    };
+    emit(&mut out, &format!("\n{footer}\n"));
 
     // Stderr: scheduling diagnostics (kept off stdout so parallel output
     // stays byte-identical to serial).

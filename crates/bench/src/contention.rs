@@ -36,19 +36,17 @@ pub const SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// The contended office floor: one AP at the centre of a 140 × 100 m
 /// floor, `n_clients − 1` saturated UDP clients parked at staggered
 /// distances (golden-angle spiral, 8–32 m), and one walker (client 0)
-/// that strolls east out of coverage mid-run. `n_clients == 1` is just
-/// the walker.
+/// that strolls east out of coverage midway through the 30 s run.
+/// `n_clients == 1` is just the walker.
 ///
 /// With `n_clients = 4`, `MediumSpec::shared()`, the `hint-aware`
-/// policy, sensor hints and a 30 s duration, this is exactly the
-/// checked-in `scenarios/fleet_contended_office.json`; the hot-path
-/// bench runs the same floor for 10 s.
+/// policy and sensor hints, this is exactly the checked-in
+/// `scenarios/fleet_contended_office.json`.
 pub fn contended_office_fleet(
     n_clients: usize,
     policy: &str,
     hints: HintSpec,
     medium: MediumSpec,
-    duration: SimDuration,
 ) -> FleetSpec {
     assert!(n_clients >= 1, "fleet needs at least one client");
     let mut b = FleetSpec::builder()
@@ -65,7 +63,7 @@ pub fn contended_office_fleet(
             },
             Workload::Udp,
         )
-        .duration(duration)
+        .duration(SimDuration::from_secs(30))
         .seed(0xC047E17)
         .protocol("HintAware")
         .handoff_policy(policy)
@@ -94,18 +92,11 @@ fn configurations(n: usize) -> [(&'static str, FleetSpec); 3] {
                 "strongest-signal",
                 HintSpec::None,
                 MediumSpec::isolated(),
-                SimDuration::from_secs(30),
             ),
         ),
         (
             "shared, legacy",
-            contended_office_fleet(
-                n,
-                "strongest-signal",
-                HintSpec::None,
-                MediumSpec::shared(),
-                SimDuration::from_secs(30),
-            ),
+            contended_office_fleet(n, "strongest-signal", HintSpec::None, MediumSpec::shared()),
         ),
         (
             "shared, hint-aware",
@@ -114,7 +105,6 @@ fn configurations(n: usize) -> [(&'static str, FleetSpec); 3] {
                 "hint-aware",
                 HintSpec::Sensors { seed: None },
                 MediumSpec::shared(),
-                SimDuration::from_secs(30),
             ),
         ),
     ]

@@ -23,73 +23,42 @@
 use crate::report::Report;
 use crate::rline;
 use hint_rateadapt::fleet::{FleetOutcome, FleetSpec};
-use hint_rateadapt::scenario::{HintSpec, MotionSpec};
-use hint_rateadapt::Workload;
-use hint_sim::SimDuration;
+use hint_rateadapt::scenario::HintSpec;
 use sensor_hints::fleet::FleetScenario;
 
-/// The fleet every configuration shares — identical (bounds, APs,
-/// clients, duration, seed) to the checked-in
-/// `scenarios/fleet_office_walk.json`, which pins the spec-file run
-/// bit-identical to this builder.
-pub fn office_walk_fleet(policy: &str, hints: HintSpec) -> FleetSpec {
-    FleetSpec::builder()
-        .bounds(200.0, 100.0)
-        .ap(40.0, 50.0, 65.0)
-        .ap(160.0, 50.0, 65.0)
-        .client(
-            5.0,
-            50.0,
-            MotionSpec::Walking {
-                speed_mps: 1.6,
-                heading_deg: 90.0,
-            },
-            Workload::Udp,
-        )
-        .client(
-            195.0,
-            50.0,
-            MotionSpec::Walking {
-                speed_mps: 1.6,
-                heading_deg: 270.0,
-            },
-            Workload::tcp(),
-        )
-        .client(30.0, 40.0, MotionSpec::Stationary, Workload::Udp)
-        .client(
-            100.0,
-            60.0,
-            MotionSpec::HalfAndHalf { static_first: true },
-            Workload::Udp,
-        )
-        .duration(SimDuration::from_secs(90))
-        .seed(0xF1EE7)
-        .protocol("HintAware")
-        .handoff_policy(policy)
-        .hints(hints)
-        .into_spec()
-}
-
 /// The four configurations under comparison, in presentation order.
+/// Each is `scenarios/fleet_office_walk.json` (the hint-etx row) with
+/// its handoff policy and hint feed swapped.
 pub fn configurations() -> Vec<(&'static str, FleetSpec)> {
+    let base = checked_in(include_str!("../../../scenarios/fleet_office_walk.json"));
+    let sensors = || HintSpec::Sensors { seed: None };
     vec![
         (
             "legacy (no hints, signal)",
-            office_walk_fleet("strongest-signal", HintSpec::None),
+            with_policy(&base, "strongest-signal", HintSpec::None),
         ),
         (
             "strongest-signal + hints",
-            office_walk_fleet("strongest-signal", HintSpec::Sensors { seed: None }),
+            with_policy(&base, "strongest-signal", sensors()),
         ),
-        (
-            "hint-aware",
-            office_walk_fleet("hint-aware", HintSpec::Sensors { seed: None }),
-        ),
-        (
-            "hint-etx",
-            office_walk_fleet("hint-etx", HintSpec::Sensors { seed: None }),
-        ),
+        ("hint-aware", with_policy(&base, "hint-aware", sensors())),
+        ("hint-etx", with_policy(&base, "hint-etx", sensors())),
     ]
+}
+
+/// Parse a checked-in fleet spec file embedded with `include_str!`:
+/// the file is the experiment's one definition.
+pub fn checked_in(json: &str) -> FleetSpec {
+    FleetSpec::from_json(json).expect("checked-in fleet specs parse")
+}
+
+/// `base` with its handoff policy and hint feed replaced: the two
+/// fields a policy comparison varies.
+pub fn with_policy(base: &FleetSpec, policy: &str, hints: HintSpec) -> FleetSpec {
+    let mut spec = base.clone();
+    spec.handoff.policy = policy.to_string();
+    spec.hints = hints;
+    spec
 }
 
 /// Fleet outcomes keyed by configuration label, in configuration

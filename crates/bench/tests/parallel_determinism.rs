@@ -1,10 +1,12 @@
 //! The parallel experiment engine's core contract: running the battery on
 //! N worker threads produces output byte-identical to running it serially.
 //! Every experiment owns its own seeded RNG streams and buffers its output
-//! into a `Report`, so scheduling cannot leak into results.
+//! into a `Report`, so scheduling cannot leak into results. `run_all`
+//! itself also ends quietly when its reader goes away.
 
 use hint_bench::runner::{battery_output, filter_jobs, run_jobs, smoke_battery};
 use std::num::NonZeroUsize;
+use std::process::{Command, Stdio};
 
 /// `run_all --smoke --jobs 4` output equals `--jobs 1`, byte for byte.
 #[test]
@@ -50,4 +52,20 @@ fn filtered_battery_is_deterministic_and_ordered() {
             "fig_metro"
         ]
     );
+}
+
+/// A reader that goes away (`run_all | head`) ends the run without a
+/// panic.
+#[test]
+fn closed_stdout_does_not_panic() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["--filter", "etx_overhead"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run_all starts");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("run_all exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

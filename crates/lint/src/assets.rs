@@ -141,7 +141,7 @@ fn check_goldens(root: &Path, corpus: &Corpus, diags: &mut Vec<Diagnostic>) {
                 "golden outcome has no `#[ignore]` regeneration test that writes it: \
                  without one, the first intentional engine change that re-anchors seeded \
                  draws leaves this file impossible to refresh — add a regen test \
-                 (pattern: fleet_contention.rs `regenerate_checked_in_files`)"
+                 (pattern: checked_in.rs `regenerate_goldens`)"
                     .to_string(),
             ));
         }

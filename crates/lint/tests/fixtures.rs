@@ -197,8 +197,8 @@ fn asset_violating_tree_golden_diagnostics() {
             "crates/bench/tests/golden/ownerless_outcome.json:1: ASSET001 golden outcome \
              has no `#[ignore]` regeneration test that writes it: without one, the first \
              intentional engine change that re-anchors seeded draws leaves this file \
-             impossible to refresh — add a regen test (pattern: fleet_contention.rs \
-             `regenerate_checked_in_files`)",
+             impossible to refresh — add a regen test (pattern: checked_in.rs \
+             `regenerate_goldens`)",
             "scenarios/orphan_spec.json:1: ASSET001 checked-in scenario spec is not \
              referenced by any test: add a replay test (or delete the spec) so the spec \
              cannot silently drift from the builder that claims to produce it",

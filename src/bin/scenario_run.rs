@@ -23,6 +23,7 @@ use sensor_hints::fleet::FleetScenario;
 use sensor_hints::mac::BitRate;
 use sensor_hints::rateadapt::fleet::FleetSpec;
 use sensor_hints::rateadapt::scenario::ScenarioSpec;
+use std::io::{self, Write};
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
@@ -48,13 +49,28 @@ const USAGE: &str =
 \n\
 exit codes:\n\
        0  success (the run finished, or --validate accepted the spec)\n\
-       1  environment failure (e.g. the spec file cannot be read, or\n\
-          the --record file fails mid-write)\n\
+       1  environment failure (e.g. the spec file cannot be read,\n\
+          the --record file fails mid-write, or stdout is closed)\n\
        2  user error (bad arguments, conflicting flags, malformed\n\
           JSON, a spec that fails validation, or a --record path that\n\
           cannot be created)";
 
 fn main() -> ExitCode {
+    match run(&mut std::io::stdout().lock()) {
+        Ok(code) => code,
+        // A reader that went away (`scenario_run ... | head`) is an
+        // environment failure, reported by exit code alone.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("scenario_run: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Parse the arguments and run the spec, writing every stdout line to
+/// `out`; a failed write ends the run with its error.
+fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path: Option<&str> = None;
     let mut json = false;
@@ -71,7 +87,7 @@ fn main() -> ExitCode {
                     Some(Ok(n)) => n,
                     _ => {
                         eprintln!("scenario_run: --jobs needs an integer >= 1\n{USAGE}");
-                        return ExitCode::from(2);
+                        return Ok(ExitCode::from(2));
                     }
                 };
             }
@@ -80,24 +96,24 @@ fn main() -> ExitCode {
                     Some(p) if !p.is_empty() => Some(p.as_str()),
                     _ => {
                         eprintln!("scenario_run: --record needs an output path\n{USAGE}");
-                        return ExitCode::from(2);
+                        return Ok(ExitCode::from(2));
                     }
                 };
             }
             "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
+                writeln!(out, "{USAGE}")?;
+                return Ok(ExitCode::SUCCESS);
             }
             other if path.is_none() && !other.starts_with('-') => path = Some(other),
             other => {
                 eprintln!("scenario_run: unexpected argument `{other}`\n{USAGE}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         }
     }
     let Some(path) = path else {
         eprintln!("scenario_run: missing spec file\n{USAGE}");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     };
     if validate && record.is_some() {
         // Silently ignoring --record here (the old behaviour) hid the
@@ -107,13 +123,13 @@ fn main() -> ExitCode {
              (--validate never simulates, so there is no trace to record); \
              drop one of the two flags\n{USAGE}"
         );
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("scenario_run: cannot load {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     // Dispatch by parsing: the two schemas are disjoint (a fleet spec
@@ -132,13 +148,13 @@ fn main() -> ExitCode {
                             "scenario_run: --record only applies to single-link specs \
                              (a fleet run has no single delivered-packet schedule)\n{USAGE}"
                         );
-                        return ExitCode::from(2);
+                        return Ok(ExitCode::from(2));
                     }
                     rebase_fleet_traces(path, &mut fleet_spec);
                     if validate {
-                        return validate_fleet(path, &fleet_spec);
+                        return validate_fleet(out, path, &fleet_spec);
                     }
-                    return run_fleet(path, fleet_spec, json, jobs);
+                    return run_fleet(out, path, fleet_spec, json, jobs);
                 }
                 Err(fleet_err) => {
                     // Malformed spec content is the same user-error
@@ -149,7 +165,7 @@ fn main() -> ExitCode {
                         &single_err
                     };
                     eprintln!("scenario_run: cannot load {path}: {e}");
-                    return ExitCode::from(2);
+                    return Ok(ExitCode::from(2));
                 }
             }
         }
@@ -165,12 +181,12 @@ fn main() -> ExitCode {
         // Validation only (cheap: no trace generation, no simulation).
         return match spec.validate() {
             Ok(_) => {
-                println!("scenario_run: {path}: valid single-link spec");
-                ExitCode::SUCCESS
+                writeln!(out, "scenario_run: {path}: valid single-link spec")?;
+                Ok(ExitCode::SUCCESS)
             }
             Err(e) => {
                 eprintln!("scenario_run: invalid spec {path}: {e}");
-                ExitCode::from(2)
+                Ok(ExitCode::from(2))
             }
         };
     }
@@ -178,7 +194,7 @@ fn main() -> ExitCode {
         Ok(s) => s,
         Err(e) => {
             eprintln!("scenario_run: invalid spec {path}: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     if let Some(out_path) = record {
@@ -196,7 +212,7 @@ fn main() -> ExitCode {
                 "scenario_run: cannot create --record path {out_path}: {e} \
                  (check the directory exists and is writable)\n{USAGE}"
             );
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     }
     let (outcome, recorded) = match record {
@@ -207,65 +223,68 @@ fn main() -> ExitCode {
             let (outcome, trace) = scenario.run_recording();
             if let Err(e) = trace.save(std::path::Path::new(out_path)) {
                 eprintln!("scenario_run: cannot write trace {out_path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             (outcome, Some((out_path, trace)))
         }
     };
 
     if json {
-        println!("{}", outcome.to_json_pretty());
-        return ExitCode::SUCCESS;
+        writeln!(out, "{}", outcome.to_json_pretty())?;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    println!("scenario    : {path}");
-    println!("environment : {}", outcome.environment);
-    println!("protocol    : {}", outcome.protocol);
-    println!("workload    : {}", spec.workload.summary());
-    println!("duration    : {}", spec.duration);
-    println!("seed        : {}", spec.seed);
+    writeln!(out, "scenario    : {path}")?;
+    writeln!(out, "environment : {}", outcome.environment)?;
+    writeln!(out, "protocol    : {}", outcome.protocol)?;
+    writeln!(out, "workload    : {}", spec.workload.summary())?;
+    writeln!(out, "duration    : {}", spec.duration)?;
+    writeln!(out, "seed        : {}", spec.seed)?;
     if let Some((out_path, trace)) = &recorded {
-        println!(
+        writeln!(
+            out,
             "recorded    : {out_path} ({} packets; replay with a \
              {{\"Trace\":{{\"Path\":...}}}} workload)",
             trace.len()
-        );
+        )?;
     }
-    println!();
+    writeln!(out)?;
     let r = &outcome.result;
-    println!("goodput     : {:.2} Mbit/s", outcome.goodput_mbps());
-    println!(
+    writeln!(out, "goodput     : {:.2} Mbit/s", outcome.goodput_mbps())?;
+    writeln!(
+        out,
         "delivery    : {}/{} packets ({:.1}% of {} attempts)",
         r.packets_delivered,
         r.packets_sent,
         100.0 * outcome.delivery_ratio(),
         r.attempts
-    );
-    println!("rate usage  :");
+    )?;
+    writeln!(out, "rate usage  :")?;
     for &rate in &BitRate::ALL {
         let n = r.rate_usage[rate.index()];
         if n > 0 {
-            println!("  {:>7}: {n}", rate.to_string());
+            writeln!(out, "  {:>7}: {n}", rate.to_string())?;
         }
     }
     let series = &r.delivered_per_second;
     if !series.is_empty() {
         let max = *series.iter().max().unwrap_or(&1) as f64;
-        println!("delivered/s :");
+        writeln!(out, "delivered/s :")?;
         for (sec, &n) in series.iter().enumerate() {
             let filled = if max > 0.0 {
                 ((n as f64 / max) * 40.0).round() as usize
             } else {
                 0
             };
-            println!(
+            writeln!(
+                out,
                 "  {sec:>4}  {n:>6}  |{}{}|",
                 "#".repeat(filled),
                 " ".repeat(40 - filled)
-            );
+            )?;
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Rebase each client's relative trace-workload path against the spec
@@ -280,19 +299,20 @@ fn rebase_fleet_traces(path: &str, spec: &mut FleetSpec) {
 
 /// Validate an already-parsed fleet spec without compiling or running
 /// it (`--validate`): exit 0 on a valid spec, 2 otherwise.
-fn validate_fleet(path: &str, spec: &FleetSpec) -> ExitCode {
+fn validate_fleet(out: &mut impl Write, path: &str, spec: &FleetSpec) -> io::Result<ExitCode> {
     match spec.validate() {
         Ok(_) => {
-            println!(
+            writeln!(
+                out,
                 "scenario_run: {path}: valid fleet spec ({} clients x {} APs)",
                 spec.clients.len(),
                 spec.aps.len()
-            );
-            ExitCode::SUCCESS
+            )?;
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("scenario_run: invalid spec {path}: {e}");
-            ExitCode::from(2)
+            Ok(ExitCode::from(2))
         }
     }
 }
@@ -300,59 +320,70 @@ fn validate_fleet(path: &str, spec: &FleetSpec) -> ExitCode {
 /// Compile, run and print an already-parsed fleet spec. `jobs` worker
 /// threads shard the span simulations; any value prints the identical
 /// outcome (the engine's byte-identity contract).
-fn run_fleet(path: &str, spec: FleetSpec, json: bool, jobs: NonZeroUsize) -> ExitCode {
+fn run_fleet(
+    out: &mut impl Write,
+    path: &str,
+    spec: FleetSpec,
+    json: bool,
+    jobs: NonZeroUsize,
+) -> io::Result<ExitCode> {
     let fleet = match FleetScenario::compile(&spec) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("scenario_run: invalid spec {path}: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     let (outcome, _) = fleet.run_counted(jobs);
 
     if json {
-        println!("{}", outcome.to_json_pretty());
-        return ExitCode::SUCCESS;
+        writeln!(out, "{}", outcome.to_json_pretty())?;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    println!("fleet       : {path}");
-    println!("environment : {}", outcome.environment);
-    println!("protocol    : {}", outcome.protocol);
-    println!("policy      : {}", outcome.policy);
+    writeln!(out, "fleet       : {path}")?;
+    writeln!(out, "environment : {}", outcome.environment)?;
+    writeln!(out, "protocol    : {}", outcome.protocol)?;
+    writeln!(out, "policy      : {}", outcome.policy)?;
     if outcome.contention != "isolated" {
-        println!("contention  : {} medium", outcome.contention);
+        writeln!(out, "contention  : {} medium", outcome.contention)?;
     }
-    println!("duration    : {}", spec.duration);
-    println!("seed        : {}", spec.seed);
-    println!(
+    writeln!(out, "duration    : {}", spec.duration)?;
+    writeln!(out, "seed        : {}", spec.seed)?;
+    writeln!(
+        out,
         "fleet       : {} clients x {} APs on {} x {} m",
         spec.clients.len(),
         spec.aps.len(),
         spec.bounds.width_m,
         spec.bounds.height_m
-    );
-    println!();
-    println!(
+    )?;
+    writeln!(out)?;
+    writeln!(
+        out,
         "handoffs    : {} total, {} forced (coverage loss)",
         outcome.total_handoffs, outcome.forced_handoffs
-    );
+    )?;
     let down_s: f64 = outcome.aps.iter().map(|a| a.down_s).sum();
     let evictions: u32 = outcome.aps.iter().map(|a| a.evictions).sum();
     let fallback_s: f64 = outcome.clients.iter().map(|c| c.fallback_s).sum();
     if down_s > 0.0 || evictions > 0 || fallback_s > 0.0 {
-        println!(
+        writeln!(
+            out,
             "faults      : {down_s:.1} s AP downtime, {evictions} evictions, {fallback_s:.1} s hint fallback"
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "aggregate   : {:.2} Mbit/s, Jain fairness {:.3}",
         outcome.aggregate_goodput_mbps, outcome.jain_fairness
-    );
-    println!();
-    println!("clients:");
+    )?;
+    writeln!(out)?;
+    writeln!(out, "clients:")?;
     for c in &outcome.clients {
         let aps: Vec<String> = c.aps_visited.iter().map(|a| format!("AP{a}")).collect();
-        println!(
+        writeln!(
+            out,
             "  {:>3}  {:>7.2} Mbit/s  {:>2} handoffs ({} forced)  outage {:>8}  path {}",
             c.client,
             c.outcome.goodput_mbps(),
@@ -364,10 +395,10 @@ fn run_fleet(path: &str, spec: FleetSpec, json: bool, jobs: NonZeroUsize) -> Exi
             } else {
                 aps.join(" -> ")
             }
-        );
+        )?;
     }
-    println!();
-    println!("aps:");
+    writeln!(out)?;
+    writeln!(out, "aps:")?;
     for (i, ap) in outcome.aps.iter().enumerate() {
         let contended = if outcome.contention == "isolated" {
             String::new()
@@ -377,10 +408,11 @@ fn run_fleet(path: &str, spec: FleetSpec, json: bool, jobs: NonZeroUsize) -> Exi
                 ap.contended_busy_s, ap.collision_s, ap.collisions
             )
         };
-        println!(
+        writeln!(
+            out,
             "  AP{i}  {:>7.1} client-s associated  {:>2} handoffs in  {:>6.2} s ghost airtime{contended}",
             ap.association_s, ap.handoffs_in, ap.wasted_airtime_s
-        );
+        )?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -18,7 +18,7 @@ fn spec_path(name: &str) -> PathBuf {
 }
 
 /// The pinned outcome bytes for a single-link spec (regenerated only by
-/// `cargo test -p hint-bench --test single_link_determinism -- --ignored`).
+/// `cargo test -p hint-bench --test checked_in -- --ignored`).
 fn golden(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("crates/bench/tests/golden")

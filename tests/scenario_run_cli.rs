@@ -4,7 +4,7 @@
 
 use sensor_hints::rateadapt::fleet::{FleetOutcome, FleetSpec};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn scenario_run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_scenario_run"))
@@ -376,4 +376,24 @@ fn uncreatable_record_path_exits_two_before_the_run() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("cannot create --record path"), "{err}");
     assert!(err.contains("directory exists and is writable"), "{err}");
+}
+
+/// A reader that goes away (`scenario_run ... --json | head -1`) ends
+/// the run with the environment-failure exit code, not a panic. The
+/// 160 KB metro outcome cannot fit in a pipe buffer, so the write fails
+/// whichever side wins the race to the pipe.
+#[test]
+fn closed_stdout_exits_one_without_a_panic() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_scenario_run"))
+        .args(["scenarios/fleet_metro.json", "--json"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("scenario_run starts");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("scenario_run exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
 }
