@@ -36,4 +36,4 @@ pub use contention::{
 };
 pub use hint_proto::{HintField, HintType, HintWire};
 pub use rates::BitRate;
-pub use timing::MacTiming;
+pub use timing::{MacTiming, MAX_MSDU_BYTES};

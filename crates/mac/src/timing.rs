@@ -10,6 +10,10 @@
 use crate::rates::BitRate;
 use hint_sim::SimDuration;
 
+/// The largest MAC service data unit 802.11 carries in one frame, in
+/// bytes. Specs and packet traces are rejected above it.
+pub const MAX_MSDU_BYTES: u32 = 2304;
+
 /// 802.11a MAC/PHY timing constants and airtime calculators.
 #[derive(Clone, Copy, Debug)]
 pub struct MacTiming {
@@ -62,15 +66,22 @@ impl MacTiming {
     /// PLCP preamble/header plus ⌈(16 + 8·bytes + 6) / N_DBPS⌉ symbols
     /// (16 service bits, 6 tail bits, as in the standard).
     pub fn ppdu_airtime(&self, rate: BitRate, body_bytes: u32) -> SimDuration {
+        self.body_airtime(rate, u64::from(body_bytes))
+    }
+
+    /// [`MacTiming::ppdu_airtime`] with the bit count in `u64`, so no
+    /// `u32` body size can overflow it.
+    fn body_airtime(&self, rate: BitRate, body_bytes: u64) -> SimDuration {
         let bits = 16 + 8 * body_bytes + 6;
-        let symbols = bits.div_ceil(rate.bits_per_symbol());
-        self.plcp + self.symbol * u64::from(symbols)
+        let symbols = bits.div_ceil(u64::from(rate.bits_per_symbol()));
+        self.plcp + self.symbol * symbols
     }
 
     /// Airtime of a data frame with `payload_bytes` of higher-layer payload
     /// (MAC header and FCS added automatically).
     pub fn data_airtime(&self, rate: BitRate, payload_bytes: u32) -> SimDuration {
-        self.ppdu_airtime(rate, payload_bytes + self.mac_overhead_bytes)
+        let body = u64::from(payload_bytes) + u64::from(self.mac_overhead_bytes);
+        self.body_airtime(rate, body)
     }
 
     /// Airtime of an ACK at the control-response rate for `data_rate`.

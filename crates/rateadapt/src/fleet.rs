@@ -31,6 +31,7 @@ use crate::workload::Workload;
 use hint_cc::BackhaulSpec;
 use hint_mac::contention::ContentionParams;
 use hint_mac::retry::RetryPolicy;
+use hint_mac::MAX_MSDU_BYTES;
 use hint_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -684,7 +685,7 @@ pub struct FleetSpec {
     /// reproduces the previous engine behaviour byte-identically.
     #[serde(default, skip_serializing_if = "FaultSpec::is_default")]
     pub faults: FaultSpec,
-    /// Link payload size, bytes.
+    /// Link payload size, bytes: 1 to 802.11's 2304-byte MSDU limit.
     pub payload_bytes: u32,
 }
 
@@ -747,8 +748,8 @@ impl FleetSpec {
                 self.duration
             ));
         }
-        if self.payload_bytes == 0 {
-            return Err(ScenarioError::ZeroPayload);
+        if !(1..=MAX_MSDU_BYTES).contains(&self.payload_bytes) {
+            return Err(ScenarioError::BadPayload(self.payload_bytes));
         }
         let (w, h) = (self.bounds.width_m, self.bounds.height_m);
         if !(w.is_finite() && h.is_finite() && w > 0.0 && h > 0.0) {

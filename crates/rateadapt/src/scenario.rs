@@ -47,6 +47,7 @@ use crate::protocols::{ProtocolKind, ProtocolParams, RateAdapter};
 use crate::sim::{LinkSimulator, SimResult};
 use crate::workload::Workload;
 use hint_channel::{Environment, Trace};
+use hint_mac::MAX_MSDU_BYTES;
 use hint_sensors::motion::{MotionProfile, MotionSegment};
 use hint_sim::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -348,7 +349,7 @@ pub struct ScenarioSpec {
     pub protocol: ProtocolSpec,
     /// Movement-hint feed.
     pub hints: HintSpec,
-    /// Link payload size, bytes.
+    /// Link payload size, bytes: 1 to 802.11's 2304-byte MSDU limit.
     pub payload_bytes: u32,
     /// The AP's wired backhaul (rate / delay / queue depth). `None` —
     /// the default — is an ideal wire, the pre-backhaul behaviour; only
@@ -417,8 +418,8 @@ impl ScenarioSpec {
     /// resolves them).
     pub fn validate(&self) -> Result<ProtocolKind, ScenarioError> {
         self.validate_shape()?;
-        if self.payload_bytes == 0 {
-            return Err(ScenarioError::ZeroPayload);
+        if !(1..=MAX_MSDU_BYTES).contains(&self.payload_bytes) {
+            return Err(ScenarioError::BadPayload(self.payload_bytes));
         }
         self.workload
             .validate()
@@ -491,8 +492,9 @@ impl ScenarioSpec {
 pub enum ScenarioError {
     /// The duration is zero.
     ZeroDuration,
-    /// The payload size is zero.
-    ZeroPayload,
+    /// `payload_bytes` is zero or above 802.11's MSDU limit
+    /// ([`hint_mac::MAX_MSDU_BYTES`]); carries the rejected value.
+    BadPayload(u32),
     /// The motion spec is inconsistent with the duration (message says
     /// how).
     BadMotion(String),
@@ -527,7 +529,10 @@ impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScenarioError::ZeroDuration => write!(f, "scenario duration must be positive"),
-            ScenarioError::ZeroPayload => write!(f, "payload size must be positive"),
+            ScenarioError::BadPayload(bytes) => write!(
+                f,
+                "payload_bytes must be 1..={MAX_MSDU_BYTES} (the 802.11 MSDU limit), got {bytes}"
+            ),
             ScenarioError::BadMotion(msg) => write!(f, "invalid motion spec: {msg}"),
             ScenarioError::BadWorkload(msg) => write!(f, "invalid workload: {msg}"),
             ScenarioError::BadBackhaul(msg) => write!(f, "invalid backhaul: {msg}"),

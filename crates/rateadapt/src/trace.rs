@@ -30,6 +30,7 @@
 //! assert_eq!(PacketTrace::parse(t.to_text().as_bytes()).unwrap(), t);
 //! ```
 
+use hint_mac::MAX_MSDU_BYTES;
 use hint_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -83,7 +84,7 @@ pub struct PacketRecord {
     pub time_us: u64,
     /// Travel direction relative to the traced sender.
     pub direction: Direction,
-    /// Payload size, bytes (always positive).
+    /// Payload size, bytes (1 to [`MAX_MSDU_BYTES`]).
     pub size: u32,
 }
 
@@ -114,8 +115,22 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// An ordered packet trace (timestamps non-decreasing, sizes positive —
-/// enforced by every constructor).
+/// Why a record's `size` is invalid, if it is: every constructor accepts
+/// 1 to [`MAX_MSDU_BYTES`] bytes.
+fn size_error(size: u32) -> Option<String> {
+    if size == 0 {
+        Some("packet size must be positive, got 0".to_string())
+    } else if size > MAX_MSDU_BYTES {
+        Some(format!(
+            "packet size {size} bytes exceeds the 802.11 MSDU limit of {MAX_MSDU_BYTES} bytes"
+        ))
+    } else {
+        None
+    }
+}
+
+/// An ordered packet trace (timestamps non-decreasing, sizes 1 to
+/// [`MAX_MSDU_BYTES`] — enforced by every constructor).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PacketTrace {
     /// The records, in non-decreasing time order.
@@ -124,7 +139,7 @@ pub struct PacketTrace {
 
 impl PacketTrace {
     /// Wrap `records`, validating the trace invariants (non-decreasing
-    /// timestamps, positive sizes). The reported "line" of a violation
+    /// timestamps, sizes 1 to [`MAX_MSDU_BYTES`]). The reported "line" of a violation
     /// is the 1-based record index, matching what the text parser would
     /// say about the same data.
     pub fn new(records: Vec<PacketRecord>) -> Result<PacketTrace, TraceError> {
@@ -146,10 +161,10 @@ impl PacketTrace {
                     ),
                 });
             }
-            if r.size == 0 {
+            if let Some(reason) = size_error(r.size) {
                 return Err(TraceError::Text {
                     line: i + 1,
-                    reason: "packet size must be positive, got 0".to_string(),
+                    reason,
                 });
             }
             prev = r.time_us;
@@ -260,8 +275,8 @@ impl PacketTrace {
                     fields[2]
                 ))
             })?;
-            if size == 0 {
-                return Err(err("packet size must be positive, got 0".to_string()));
+            if let Some(reason) = size_error(size) {
+                return Err(err(reason));
             }
             if let Some((prev_line, prev_t)) = prev {
                 if time_us < prev_t {
@@ -579,6 +594,21 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("runs backwards"));
+    }
+
+    #[test]
+    fn every_constructor_rejects_sizes_above_the_msdu_limit() {
+        let mut big = sample();
+        big.records[2].size = MAX_MSDU_BYTES + 1;
+        let want = "packet size 2305 bytes exceeds the 802.11 MSDU limit of 2304 bytes";
+        let text = PacketTrace::parse_text(&big.to_text()).unwrap_err();
+        assert_eq!(text.to_string(), format!("packet trace line 4: {want}"));
+        let binary = PacketTrace::parse_binary(&big.to_binary()).unwrap_err();
+        assert_eq!(binary, TraceError::Binary(format!("record 2: {want}")));
+        let new = PacketTrace::new(big.records.clone()).unwrap_err();
+        assert!(new.to_string().contains(want), "{new}");
+        big.records[2].size = MAX_MSDU_BYTES;
+        assert!(PacketTrace::new(big.records).is_ok());
     }
 
     #[test]

@@ -281,7 +281,7 @@ fn fleet_validation_reuses_scenario_error_paths() {
     );
     assert_eq!(
         base().payload_bytes(0).validate().err(),
-        Some(ScenarioError::ZeroPayload)
+        Some(ScenarioError::BadPayload(0))
     );
     // Unknown protocols surface as an error that lists the known names.
     let err = base().protocol("warpdrive").validate().err().unwrap();

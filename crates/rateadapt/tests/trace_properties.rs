@@ -3,13 +3,15 @@
 //! must reject malformed input with the documented, actionable messages —
 //! whatever records a recorder happens to produce.
 
+use hint_mac::MAX_MSDU_BYTES;
 use hint_rateadapt::trace::{Direction, PacketRecord, PacketTrace, BINARY_RECORD_BYTES};
 use proptest::prelude::*;
 
 /// Arbitrary valid traces: non-decreasing timestamps (built from gaps),
-/// positive sizes, mixed directions.
+/// sizes from 1 byte to the 802.11 MSDU limit, mixed directions.
 fn traces() -> impl Strategy<Value = PacketTrace> {
-    proptest::collection::vec((0u64..500_000, any::<bool>(), 1u32..3000), 0..60).prop_map(|raw| {
+    let size = 1u32..MAX_MSDU_BYTES + 1;
+    proptest::collection::vec((0u64..500_000, any::<bool>(), size), 0..60).prop_map(|raw| {
         let mut t = 0u64;
         let records = raw
             .into_iter()
@@ -26,7 +28,7 @@ fn traces() -> impl Strategy<Value = PacketTrace> {
                 }
             })
             .collect();
-        PacketTrace::new(records).expect("constructed monotone and positive")
+        PacketTrace::new(records).expect("constructed monotone and in range")
     })
 }
 

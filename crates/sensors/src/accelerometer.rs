@@ -38,32 +38,16 @@ pub struct ForceReport {
     pub z: f64,
 }
 
-/// Tunable noise/vibration amplitudes for the synthetic sensor.
-#[derive(Clone, Copy, Debug)]
-pub struct AccelConfig {
-    /// Std-dev of per-axis white sensor noise (custom units).
-    pub noise_sd: f64,
-    /// Peak amplitude of walking step impacts (custom units).
-    pub walk_amplitude: f64,
-    /// Step cadence while walking, in Hz.
-    pub walk_cadence_hz: f64,
-    /// Amplitude of vehicle road/engine vibration (custom units).
-    pub vehicle_amplitude: f64,
-    /// Gravity-plus-orientation baseline per axis (custom units).
-    pub baseline: [f64; 3],
-}
-
-impl Default for AccelConfig {
-    fn default() -> Self {
-        AccelConfig {
-            noise_sd: 0.25,
-            walk_amplitude: 4.0,
-            walk_cadence_hz: 2.0,
-            vehicle_amplitude: 3.0,
-            baseline: [0.0, 0.0, 9.3],
-        }
-    }
-}
+/// Std-dev of per-axis white sensor noise (custom units).
+const NOISE_SD: f64 = 0.25;
+/// Peak amplitude of walking step impacts (custom units).
+const WALK_AMPLITUDE: f64 = 4.0;
+/// Step cadence while walking, in Hz.
+const WALK_CADENCE_HZ: f64 = 2.0;
+/// Amplitude of vehicle road/engine vibration (custom units).
+const VEHICLE_AMPLITUDE: f64 = 3.0;
+/// Gravity-plus-orientation baseline per axis (custom units).
+const BASELINE: [f64; 3] = [0.0, 0.0, 9.3];
 
 /// Synthetic accelerometer bound to a ground-truth motion profile.
 ///
@@ -74,7 +58,6 @@ pub struct Accelerometer {
     profile: MotionProfile,
     /// Forward position in `profile` (reports walk time monotonically).
     cursor: SegmentCursor,
-    cfg: AccelConfig,
     rng: RngStream,
     t: SimTime,
     /// Slowly wandering orientation component while moving (models the
@@ -88,19 +71,6 @@ impl Accelerometer {
         Accelerometer {
             profile,
             cursor: SegmentCursor::new(),
-            cfg: AccelConfig::default(),
-            rng,
-            t: SimTime::ZERO,
-            tilt: [0.0; 3],
-        }
-    }
-
-    /// Create with explicit noise configuration.
-    pub fn with_config(profile: MotionProfile, cfg: AccelConfig, rng: RngStream) -> Self {
-        Accelerometer {
-            profile,
-            cursor: SegmentCursor::new(),
-            cfg,
             rng,
             t: SimTime::ZERO,
             tilt: [0.0; 3],
@@ -128,26 +98,26 @@ impl Accelerometer {
                 // average between adjacent 10 ms windows, which is exactly
                 // what the jerk detector keys on. Amplitude grows mildly
                 // with speed.
-                let scale = self.cfg.walk_amplitude * (speed_mps / 1.4).clamp(0.5, 2.0);
-                let phase = std::f64::consts::TAU * self.cfg.walk_cadence_hz * secs;
+                let scale = WALK_AMPLITUDE * (speed_mps / 1.4).clamp(0.5, 2.0);
+                let phase = std::f64::consts::TAU * WALK_CADENCE_HZ * secs;
                 let step = phase.sin().abs() * scale;
                 self.wander(0.15);
                 let shake = scale * 0.6;
                 (
-                    step * 0.4 + self.rng.normal() * shake + self.tilt[0],
-                    step * 0.3 + self.rng.normal() * shake + self.tilt[1],
-                    step + self.rng.normal() * shake + self.tilt[2],
+                    step * 0.4 + self.rng.normal_ziggurat() * shake + self.tilt[0],
+                    step * 0.3 + self.rng.normal_ziggurat() * shake + self.tilt[1],
+                    step + self.rng.normal_ziggurat() * shake + self.tilt[2],
                 )
             }
             MotionState::Vehicle { speed_mps } => {
                 // Broadband vibration growing with speed, plus occasional
                 // acceleration/braking swells via the tilt random walk.
-                let scale = self.cfg.vehicle_amplitude * (speed_mps / 10.0).clamp(0.3, 2.5);
+                let scale = VEHICLE_AMPLITUDE * (speed_mps / 10.0).clamp(0.3, 2.5);
                 self.wander(0.25);
                 (
-                    self.rng.normal() * scale * 0.5 + self.tilt[0],
-                    self.rng.normal() * scale * 0.5 + self.tilt[1],
-                    self.rng.normal() * scale + self.tilt[2],
+                    self.rng.normal_ziggurat() * scale * 0.5 + self.tilt[0],
+                    self.rng.normal_ziggurat() * scale * 0.5 + self.tilt[1],
+                    self.rng.normal_ziggurat() * scale + self.tilt[2],
                 )
             }
         };
@@ -159,12 +129,11 @@ impl Accelerometer {
             }
         }
 
-        let n = self.cfg.noise_sd;
         let report = ForceReport {
             t,
-            x: self.cfg.baseline[0] + ax + self.rng.normal() * n,
-            y: self.cfg.baseline[1] + ay + self.rng.normal() * n,
-            z: self.cfg.baseline[2] + az + self.rng.normal() * n,
+            x: BASELINE[0] + ax + self.rng.normal_ziggurat() * NOISE_SD,
+            y: BASELINE[1] + ay + self.rng.normal_ziggurat() * NOISE_SD,
+            z: BASELINE[2] + az + self.rng.normal_ziggurat() * NOISE_SD,
         };
         self.t += ACCEL_REPORT_PERIOD;
         report
@@ -173,7 +142,7 @@ impl Accelerometer {
     /// Random-walk the tilt vector with the given step size.
     fn wander(&mut self, step: f64) {
         for v in &mut self.tilt {
-            *v += self.rng.normal() * step;
+            *v += self.rng.normal_ziggurat() * step;
             *v = v.clamp(-3.0, 3.0);
         }
     }

@@ -397,3 +397,53 @@ fn closed_stdout_exits_one_without_a_panic() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_eq!(out.status.code(), Some(1), "{stderr}");
 }
+
+#[test]
+fn payloads_above_the_msdu_limit_exit_two() {
+    use sensor_hints::rateadapt::scenario::ScenarioSpec;
+    use sensor_hints::rateadapt::Workload;
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let stderr_of = |path: &Path| {
+        let out = scenario_run(&[path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{}: {out:?}", path.display());
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+
+    // A fleet payload of 2^29 bytes overflowed the u32 bit count and
+    // reported terabits per second.
+    let mut fleet = FleetSpec::load(&root.join("scenarios/fleet_contended_office.json"))
+        .expect("checked-in fleet spec loads");
+    fleet.payload_bytes = 1 << 29;
+    let err = stderr_of(&save_temp("huge_payload_fleet.json", &fleet));
+    assert!(
+        err.contains("payload_bytes") && err.contains("2304"),
+        "{err}"
+    );
+
+    // One byte over the limit is rejected on a single-link spec too.
+    let mut single = ScenarioSpec::load(&root.join("scenarios/mixed_office_tcp.json"))
+        .expect("checked-in single-link spec loads");
+    single.payload_bytes = 2305;
+    let path = std::env::temp_dir().join("scenario_run_cli_huge_payload_single.json");
+    single.save(&path).expect("temp spec written");
+    let err = stderr_of(&path);
+    assert!(
+        err.contains("payload_bytes") && err.contains("2305"),
+        "{err}"
+    );
+
+    // A trace record above the limit fails at load, naming its line.
+    let dir = std::env::temp_dir();
+    let trace = dir.join("scenario_run_cli_huge_record.txt");
+    std::fs::write(&trace, "0,s,1000\n220,s,65535\n").expect("temp trace written");
+    let mut replay = ScenarioSpec::load(&root.join("scenarios/trace_replay_office.json"))
+        .expect("checked-in trace spec loads");
+    replay.workload = Workload::trace_file(trace.to_str().unwrap());
+    let path = dir.join("scenario_run_cli_huge_record.json");
+    replay.save(&path).expect("temp spec written");
+    let err = stderr_of(&path);
+    assert!(
+        err.contains("line 2") && err.contains("packet size 65535"),
+        "{err}"
+    );
+}
