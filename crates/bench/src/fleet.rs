@@ -1,7 +1,7 @@
 //! Fleet scenario — hint-aware association and handoff at multi-client
 //! scale (Sec. 5.2 taken fleet-wide).
 //!
-//! Four configurations of the same four-client, two-AP office floor are
+//! Three configurations of the same four-client, two-AP office floor are
 //! compared, isolating the two places hints help:
 //!
 //! 1. **legacy** — no hint pipeline at all, signal-strength handoff: the
@@ -13,7 +13,6 @@
 //!    them and ghost airtime collapses to occasional probes.
 //! 3. **hint-aware** — predicted-dwell handoff: walkers switch to the AP
 //!    ahead *before* losing the old one (no forced handoffs at all).
-//! 4. **hint-etx** — dwell scoring divided by the candidate link's ETX.
 //!
 //! The geometry (65 m coverage disks 120 m apart) is chosen so the 3 dB
 //! signal hysteresis cannot clear inside the overlap zone — exactly the
@@ -26,8 +25,8 @@ use hint_rateadapt::fleet::{FleetOutcome, FleetSpec};
 use hint_rateadapt::scenario::HintSpec;
 use sensor_hints::fleet::FleetScenario;
 
-/// The four configurations under comparison, in presentation order.
-/// Each is `scenarios/fleet_office_walk.json` (the hint-etx row) with
+/// The three configurations under comparison, in presentation order.
+/// Each is `scenarios/fleet_office_walk.json` (the hint-aware row) with
 /// its handoff policy and hint feed swapped.
 pub fn configurations() -> Vec<(&'static str, FleetSpec)> {
     let base = checked_in(include_str!("../../../scenarios/fleet_office_walk.json"));
@@ -42,7 +41,6 @@ pub fn configurations() -> Vec<(&'static str, FleetSpec)> {
             with_policy(&base, "strongest-signal", sensors()),
         ),
         ("hint-aware", with_policy(&base, "hint-aware", sensors())),
-        ("hint-etx", with_policy(&base, "hint-etx", sensors())),
     ]
 }
 
@@ -148,7 +146,7 @@ pub fn report() -> (Report, Comparison) {
     );
     rline!(
         r,
-        "aggregate goodput orders legacy < signal+hints <= hint policies."
+        "aggregate goodput orders legacy < signal+hints <= hint-aware."
     );
 
     (r, res)
@@ -164,10 +162,9 @@ mod tests {
         let legacy = cmp.get("legacy (no hints, signal)");
         let signal = cmp.get("strongest-signal + hints");
         let hint = cmp.get("hint-aware");
-        let etx = cmp.get("hint-etx");
 
         // Both walkers hand off between both APs in every configuration.
-        for o in [legacy, signal, hint, etx] {
+        for o in [legacy, signal, hint] {
             for c in [0, 1] {
                 assert!(
                     o.clients[c].aps_visited.len() >= 2,
@@ -179,10 +176,9 @@ mod tests {
             assert!(o.total_handoffs >= 2);
         }
 
-        // Hint-led handoff: the hint policies never lose coverage; the
+        // Hint-led handoff: the hint policy never loses coverage; the
         // signal policy rides the old AP out of range.
         assert_eq!(hint.forced_handoffs, 0, "hint-aware must pre-empt");
-        assert_eq!(etx.forced_handoffs, 0, "hint-etx must pre-empt");
         assert!(signal.forced_handoffs >= 2, "signal policy is forced");
         assert!(legacy.forced_handoffs >= 2);
 

@@ -7,7 +7,7 @@
 //! on a 4 × 2 AP grid, quarter-scale `fig_metro` geometry — runs under
 //! an *identical* deterministic fault schedule (three staggered AP
 //! outages, hint dropouts on every vehicle, two radio blackouts) in
-//! four configurations:
+//! three configurations:
 //!
 //! 1. **legacy signal** — no hints, strongest-signal handoff: the
 //!    baseline that never had hints to lose.
@@ -21,8 +21,6 @@
 //!    to legacy RSSI scoring and resumes hint use on recovery. This
 //!    configuration is the checked-in `scenarios/fleet_resilience.json`,
 //!    which holds the geometry, the 30 s duration and the fault schedule.
-//! 4. **hint-etx + fallback** — the ETX-weighted hint policy under the
-//!    same fallback rule.
 //!
 //! Every configuration sees byte-identical faults (the schedule lives
 //! in the spec, not the policy), so differences are pure policy
@@ -37,11 +35,11 @@ use crate::rline;
 use hint_rateadapt::fleet::{FleetOutcome, FleetSpec};
 use hint_rateadapt::scenario::HintSpec;
 
-/// The four configurations compared under the identical fault schedule.
+/// The three configurations compared under the identical fault schedule.
 /// Each is `scenarios/fleet_resilience.json` (the "hint-aware +
 /// fallback" row) with its handoff policy and hint feed swapped; the
 /// naive row also switches the hint fallback off.
-pub fn configurations() -> [(&'static str, FleetSpec); 4] {
+pub fn configurations() -> [(&'static str, FleetSpec); 3] {
     let base = checked_in(include_str!("../../../scenarios/fleet_resilience.json"));
     let sensors = || HintSpec::Sensors { seed: None };
     let mut naive = with_policy(&base, "hint-aware", sensors());
@@ -55,10 +53,6 @@ pub fn configurations() -> [(&'static str, FleetSpec); 4] {
         (
             "hint-aware + fallback",
             with_policy(&base, "hint-aware", sensors()),
-        ),
-        (
-            "hint-etx + fallback",
-            with_policy(&base, "hint-etx", sensors()),
         ),
     ]
 }
@@ -125,7 +119,7 @@ pub fn report() -> (Report, Comparison) {
     );
     rline!(
         r,
-        "to the coverage edge; the fallback policies degrade to RSSI scoring"
+        "to the coverage edge; the fallback policy degrades to RSSI scoring"
     );
     rline!(r, "while a stream is out and resume hint use on recovery.");
 
@@ -159,11 +153,7 @@ mod tests {
         let down = |label: &str| -> f64 { s.get(label).aps.iter().map(|a| a.down_s).sum() };
         let legacy_down = down("legacy signal");
         assert!(legacy_down > 10.0, "storm too small: {legacy_down}");
-        for label in [
-            "hint-aware, naive",
-            "hint-aware + fallback",
-            "hint-etx + fallback",
-        ] {
+        for label in ["hint-aware, naive", "hint-aware + fallback"] {
             assert_eq!(down(label), legacy_down, "{label}");
         }
         for (label, o) in &s.outcomes {
@@ -185,7 +175,6 @@ mod tests {
         assert_eq!(fallback("legacy signal"), 0.0);
         assert_eq!(fallback("hint-aware, naive"), 0.0);
         assert!(fallback("hint-aware + fallback") > 10.0);
-        assert!(fallback("hint-etx + fallback") > 10.0);
 
         // The headline: hinted fallback degrades no worse than naive
         // hint-trusting — the naive ablation's frozen hints pin clients

@@ -144,7 +144,7 @@ fn fleet_trace_client_byte_identical_across_jobs() {
         .client(150.0, 50.0, MotionSpec::Stationary, Workload::Udp)
         .duration(recording_scenario_spec().duration)
         .seed(17)
-        .handoff_policy("hint-etx")
+        .handoff_policy("hint-aware")
         .into_spec();
     let fleet = FleetScenario::compile(&spec).expect("valid trace-client fleet");
     let serial = fleet.run_with_jobs(1).to_json_pretty();

@@ -21,6 +21,7 @@ use std::collections::VecDeque;
 
 /// A wired backhaul link behind an AP.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct BackhaulSpec {
     /// Serialization rate of the wire, bits per second.
     pub rate_bps: u64,

@@ -16,9 +16,10 @@ const CCA_NAMES: [&str; 2] = ["Reno", "FixedWindow"];
 /// Names a congestion controller and its window cap in serialized specs.
 ///
 /// `window` is the congestion-window cap in packets: Reno grows toward
-/// it, [`FixedWindow`] pins the window to it. It mirrors the legacy TCP
+/// it, [`FixedWindow`] pins the window to it. It mirrors the open-loop TCP
 /// model's `cwnd_cap` (and shares its default of 64).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CcaSpec {
     /// Algorithm name (case-insensitive; canonical names are `Reno` and
     /// `FixedWindow`).

@@ -52,7 +52,7 @@ pub struct Reno {
 }
 
 /// Reno's initial congestion window, packets (RFC 5681 would allow more;
-/// the legacy open-loop `Workload::Tcp` model also starts at 2).
+/// the open-loop `Workload::Tcp` model also starts at 2).
 const INITIAL_WINDOW: f64 = 2.0;
 /// Floor for `ssthresh` after a loss event, packets.
 const MIN_SSTHRESH: f64 = 2.0;

@@ -1,8 +1,10 @@
 //! # hint-cc — closed-loop flow layer
 //!
-//! The repo's original traffic models are open-loop: `Workload::Tcp` is a
-//! window heuristic that never sees a queue, and the wireless hop is the
-//! only place a packet can be delayed or lost. This crate supplies the
+//! The link simulator's other traffic models are open-loop:
+//! `Workload::Tcp` is a window heuristic that never sees a queue, and the
+//! wireless hop is the only place a packet can be delayed or lost. That
+//! model stays for the paper's TCP figures (Figs. 3-5…3-7), which rest on
+//! its timeout punishment of bursty loss. This crate supplies the
 //! pieces of a *closed-loop* flow — the style of ns-2 and FlowForge's
 //! `LossyWindowSender` — so the bottleneck can sit on the wired backhaul
 //! behind the AP instead of on the air:

@@ -16,6 +16,7 @@ use serde::{Deserialize, Serialize};
 /// Drive-by geometry for the vehicular environment: a roadside sender and
 /// a receiver shuttling back and forth along a straight road.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DriveBy {
     /// Where along the shuttle the trace starts, metres of pre-travelled
     /// distance (lets a short trace begin inside radio range rather than
@@ -50,6 +51,7 @@ impl DriveBy {
 
 /// A channel environment preset.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Environment {
     /// Short identifier used in trace metadata and result tables.
     pub name: String,

@@ -8,9 +8,8 @@
 //!
 //! * **Association/handoff** — every scan interval each client scores
 //!   the in-range APs under the spec's [`HandoffPolicy`]:
-//!   signal-strength (baseline), predicted dwell from the movement hint
-//!   (`hint_ap::association`), or dwell divided by the link's ETX
-//!   (`hint_topology::etx`). Switches are gated by
+//!   signal-strength (baseline) or predicted dwell from the movement hint
+//!   (`hint_ap::association`). Switches are gated by
 //!   [`hint_ap::association::should_handoff`] hysteresis, so an
 //!   unchanged scan can never ping-pong.
 //! * **Hints** — each client runs the same hint pipeline as a
@@ -66,7 +65,7 @@
 use crate::neighbors::NeighborHints;
 use hint_ap::association::{best_ap, predicted_dwell_s, should_handoff, ApCandidate, ClientMotion};
 use hint_channel::delivery::best_rate_for_snr;
-use hint_channel::{delivery_table, Environment, Trace};
+use hint_channel::{Environment, Trace};
 use hint_mac::contention::{AirtimeArbiter, ContentionParams, GrantSchedule, Station};
 use hint_mac::hint_proto::HintField;
 use hint_mac::{BitRate, MacTiming};
@@ -108,6 +107,11 @@ const PROBE_INTERVAL: SimDuration = SimDuration::from_secs(1);
 /// rejoining promptly after short outages. Fault-free runs keep the
 /// fixed cadence, byte-identically to the pre-fault engine.
 const MAX_SCAN_BACKOFF_EXP: u32 = 5;
+
+/// Scheduling epoch over which a shared medium's airtime is arbitrated.
+/// A span reads one arbitrated airtime share per trace second, so a
+/// shorter epoch would arbitrate cells that are never read.
+const MEDIUM_EPOCH: SimDuration = SimDuration::from_secs(1);
 
 /// Delivery-probability target used to pick a station's nominal
 /// contention rate from its link SNR (the RBAR-style decision rule):
@@ -256,8 +260,7 @@ enum HintHealth {
 
 impl ResolvedFaults {
     /// Resolve `spec.faults` (already validated) against the run: clip
-    /// every window to the run duration, expand the seeded random-outage
-    /// storm, then normalize per entity.
+    /// every window to the run duration, then normalize per entity.
     fn resolve(spec: &FleetSpec) -> ResolvedFaults {
         let end = SimTime::ZERO + spec.duration;
         let clip = |start: SimDuration, dur: SimDuration| {
@@ -271,29 +274,6 @@ impl ResolvedFaults {
         let mut ap_down: Vec<Vec<(SimTime, SimTime)>> = vec![Vec::new(); spec.aps.len()];
         for o in &spec.faults.ap_outages {
             ap_down[o.ap].push(clip(o.start, o.duration));
-        }
-        if let Some(storm) = &spec.faults.random_outages {
-            // The storm stream derives fleet-seed → "fleet-fault", so it
-            // is independent of every other stream in the run and
-            // identical across replays.
-            let mut rng = RngStream::new(spec.seed).derive("fleet-fault");
-            let span_us = storm
-                .max_duration
-                .as_micros()
-                .saturating_sub(storm.min_duration.as_micros());
-            for _ in 0..storm.count {
-                let ap = ((rng.uniform() * spec.aps.len() as f64) as usize)
-                    .min(spec.aps.len().saturating_sub(1));
-                let start_us = (rng.uniform() * spec.duration.as_micros() as f64) as u64;
-                let dur_us = storm
-                    .min_duration
-                    .as_micros()
-                    .saturating_add((rng.uniform() * span_us as f64) as u64);
-                ap_down[ap].push(clip(
-                    SimDuration::from_micros(start_us),
-                    SimDuration::from_micros(dur_us),
-                ));
-            }
         }
         let mut hint_off: Vec<Vec<(SimTime, SimTime)>> = vec![Vec::new(); spec.clients.len()];
         for d in &spec.faults.hint_dropouts {
@@ -446,7 +426,6 @@ pub struct FleetScenario {
     env: Environment,
     policy: HandoffPolicy,
     contention: ContentionMode,
-    arbiter_params: ContentionParams,
     protocol: ProtocolKind,
     profiles: Vec<MotionProfile>,
     paths: Vec<ClientPath>,
@@ -617,7 +596,6 @@ impl FleetScenario {
             protocol,
             policy,
             contention,
-            arbiter: arbiter_params,
         } = spec.validate()?;
         let env = spec.environment.resolve();
 
@@ -673,7 +651,6 @@ impl FleetScenario {
             env,
             policy,
             contention,
-            arbiter_params,
             protocol,
             profiles,
             paths,
@@ -744,17 +721,11 @@ impl FleetScenario {
 
     /// Score one candidate under `policy` (normally the fleet's handoff
     /// policy; legacy RSSI while a client's hints are dropped out).
-    /// Signal scores are dBm; hint scores are predicted dwell seconds,
-    /// optionally divided by the candidate link's ETX.
+    /// Signal scores are dBm; hint scores are predicted dwell seconds.
     fn score(&self, policy: HandoffPolicy, ap: &ApCandidate, client: &ClientMotion) -> f64 {
         match policy {
             HandoffPolicy::StrongestSignal => ap.rssi_dbm,
             HandoffPolicy::HintAware => predicted_dwell_s(ap, client),
-            HandoffPolicy::HintEtx => {
-                let snr = ap.rssi_dbm - NOISE_FLOOR_DBM;
-                let p = delivery_table().prob_1000(BitRate::R6, snr);
-                predicted_dwell_s(ap, client) / hint_topology::etx::etx(p)
-            }
         }
     }
 
@@ -1060,7 +1031,7 @@ impl FleetScenario {
         }
         let cells = self.contended_cells(runs, aps.len());
         let medium_root = RngStream::new(self.spec.seed).derive("fleet-medium");
-        let arbiter = AirtimeArbiter::new(self.arbiter_params);
+        let arbiter = AirtimeArbiter::new(ContentionParams::ieee80211a());
         pool::map_ordered(
             &cells,
             workers,
@@ -1115,7 +1086,7 @@ impl FleetScenario {
     /// (AP, epoch) order.
     fn contended_cells(&self, runs: &[ClientRun], n_aps: usize) -> Vec<ContendedCell> {
         let duration_us = self.spec.duration.as_micros();
-        let epoch_us = self.spec.medium.epoch.as_micros();
+        let epoch_us = MEDIUM_EPOCH.as_micros();
         // Spans per AP, clients ascending (runs are in client order).
         let mut ap_spans: Vec<Vec<(usize, u64, u64)>> = vec![Vec::new(); n_aps];
         for (c, run) in runs.iter().enumerate() {
@@ -1369,7 +1340,7 @@ impl FleetScenario {
             // Trace second s of the span runs at the share the arbiter
             // granted this client for the epoch containing that
             // second's start.
-            let epoch_us = self.spec.medium.epoch.as_micros();
+            let epoch_us = MEDIUM_EPOCH.as_micros();
             let n_secs = span.as_secs_f64().ceil() as usize;
             let span_shares: Vec<f64> = (0..n_secs)
                 .map(|s| {
@@ -1423,9 +1394,7 @@ impl FleetScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hint_rateadapt::fleet::{
-        ApOutage, FaultSpec, HintDropout, MediumSpec, RadioBlackout, RandomOutages,
-    };
+    use hint_rateadapt::fleet::{ApOutage, FaultSpec, HintDropout, MediumSpec, RadioBlackout};
     use hint_rateadapt::scenario::MotionSpec;
     use hint_rateadapt::Workload;
 
@@ -1540,7 +1509,7 @@ mod tests {
 
     #[test]
     fn crossing_clients_hand_off_between_aps() {
-        for policy in ["strongest-signal", "hint-aware", "hint-etx"] {
+        for policy in ["strongest-signal", "hint-aware"] {
             let fleet = FleetScenario::compile(&crossing_fleet(policy)).expect("valid");
             let out = fleet.run();
             // Both walkers visit both APs; the parked client stays put.
@@ -1579,13 +1548,13 @@ mod tests {
 
     #[test]
     fn fleet_runs_are_bit_identical() {
-        let fleet = FleetScenario::compile(&crossing_fleet("hint-etx")).expect("valid");
+        let fleet = FleetScenario::compile(&crossing_fleet("hint-aware")).expect("valid");
         let a = fleet.run();
         let b = fleet.run();
         assert_eq!(a, b);
         assert_eq!(a.to_json_pretty(), b.to_json_pretty());
         // And recompiling from the same spec changes nothing either.
-        let again = FleetScenario::compile(&crossing_fleet("hint-etx"))
+        let again = FleetScenario::compile(&crossing_fleet("hint-aware"))
             .expect("valid")
             .run();
         assert_eq!(a, again);
@@ -1840,18 +1809,16 @@ mod tests {
 
     #[test]
     fn fault_free_faultspec_runs_byte_identical_to_no_faultspec() {
-        // A FaultSpec that resolves to zero windows (here: a zero-count
-        // random storm) must take the exact pre-fault code paths.
+        // A FaultSpec with no windows (here: only the naive-fallback
+        // flag set, which acts on dropout windows alone) must take the
+        // exact pre-fault code paths.
         let base = crossing_fleet("hint-aware");
         let mut with_empty = base.clone();
         with_empty.faults = FaultSpec {
-            random_outages: Some(RandomOutages {
-                count: 0,
-                min_duration: SimDuration::from_secs(1),
-                max_duration: SimDuration::from_secs(2),
-            }),
+            hint_fallback: false,
             ..FaultSpec::default()
         };
+        assert!(!with_empty.faults.is_default());
         let a = FleetScenario::compile(&base).expect("valid").run();
         let b = FleetScenario::compile(&with_empty).expect("valid").run();
         assert_eq!(a, b);
@@ -1971,27 +1938,6 @@ mod tests {
         // Everything round-trips with the sparse resilience fields.
         let back = FleetOutcome::from_json(&out.to_json_pretty()).expect("parses");
         assert_eq!(back, out);
-    }
-
-    #[test]
-    fn random_outage_storms_are_seed_deterministic() {
-        let mut spec = parked_fleet(3, MediumSpec::isolated());
-        spec.faults.random_outages = Some(RandomOutages {
-            count: 5,
-            min_duration: SimDuration::from_millis(500),
-            max_duration: SimDuration::from_secs(2),
-        });
-        let a = FleetScenario::compile(&spec).expect("valid").run();
-        let b = FleetScenario::compile(&spec).expect("valid").run();
-        assert_eq!(a.to_json_pretty(), b.to_json_pretty());
-        // The storm actually took the one AP down for a while.
-        assert!(a.aps[0].down_s > 0.0);
-        assert!(a.aps[0].evictions > 0);
-        // A different fleet seed draws a different storm.
-        let mut reseeded = spec.clone();
-        reseeded.seed ^= 1;
-        let c = FleetScenario::compile(&reseeded).expect("valid").run();
-        assert_ne!(a.aps[0].down_s, c.aps[0].down_s);
     }
 
     #[test]

@@ -62,8 +62,9 @@ pub enum ContentionParamsError {
     ZeroAttempts,
 }
 
-/// The messages a spec author sees (`MediumSpec::validate` in
-/// `hint-rateadapt` reports them as they are).
+/// The messages a caller of [`ContentionParams::new`] sees. No spec
+/// reaches them: a fleet's shared medium always arbitrates with
+/// [`ContentionParams::ieee80211a`].
 impl std::fmt::Display for ContentionParamsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

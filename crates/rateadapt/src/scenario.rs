@@ -111,6 +111,7 @@ impl EnvironmentSpec {
 /// Ground-truth motion selection, compiling to a [`MotionProfile`] over
 /// the scenario duration.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum MotionSpec {
     /// Static for the whole scenario.
     Stationary,
@@ -240,6 +241,7 @@ impl MotionSpec {
 
 /// How the movement-hint stream feeding the adapter is produced.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum HintSpec {
     /// No hint feed (hint-oblivious protocols only see frames/SNR).
     None,
@@ -283,6 +285,7 @@ impl HintSpec {
 /// Protocol selection **by name**, resolved to a [`ProtocolKind`] at
 /// validation.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ProtocolSpec {
     /// Protocol name (case-insensitive: `RapidSample`, `SampleRate`,
     /// `RRAA`, `RBAR`, `CHARM`, `HintAware`).
@@ -333,6 +336,7 @@ impl Default for ProtocolSpec {
 /// native clock). See `EXPERIMENTS.md` for the JSON schema and the
 /// `scenario_run` CLI that executes spec files.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ScenarioSpec {
     /// Channel environment.
     pub environment: EnvironmentSpec,

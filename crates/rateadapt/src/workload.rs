@@ -18,9 +18,17 @@
 //! window-based sender with acks, RTT estimation and a pluggable
 //! congestion controller named through `hint-cc`'s `CcaSpec`, built so the
 //! bottleneck can sit on an AP's wired backhaul (see
-//! [`crate::sim::LinkSimulator::with_backhaul`]) instead of the air. The
-//! open-loop [`Workload::Tcp`] model is kept byte-identical as the
-//! legacy compatibility path.
+//! [`crate::sim::LinkSimulator::with_backhaul`]) instead of the air.
+//!
+//! The two TCP models serve different figures. [`Workload::Tcp`] drives
+//! the paper's TCP figures (Figs. 3-5…3-7) and the fleet specs' TCP
+//! clients: those figures rest on its punishment of bursty loss (the
+//! retransmission-timeout backoff after 3 consecutive drops). Run through
+//! the closed-loop flow with Reno instead, bursty-loss protocols close
+//! the gap (Fig. 3-6 office: RRAA 0.67 → 1.05 of RapidSample) and two
+//! Fig. 3-5/3-6 orderings flip (EXPERIMENTS.md, "Two TCP models").
+//! [`Workload::Flow`] serves the backhaul experiments, whose bottleneck
+//! is a wired queue the open-loop model never sees.
 
 use crate::trace::PacketTrace;
 use hint_cc::CcaSpec;
@@ -43,6 +51,7 @@ use std::path::Path;
 /// earlier revision hard-coded the clamp at 16×, which silently
 /// truncated the curve for any `rto_max > 16·rto`.)
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TcpConfig {
     /// Round-trip time budget per congestion window (LAN-scale).
     pub rtt: SimDuration,
@@ -141,6 +150,7 @@ impl TcpConfig {
 /// itself is owned by the pluggable controller named in
 /// [`FlowConfig::cca`] (see [`CcaSpec::build`]).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FlowConfig {
     /// The congestion-control algorithm, by name, plus its
     /// window cap.

@@ -49,6 +49,7 @@ impl MotionState {
 /// One segment of a motion schedule: a state held for a duration, moving
 /// along a heading (degrees clockwise from north; irrelevant when static).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct MotionSegment {
     /// Mobility state during the segment.
     pub state: MotionState,

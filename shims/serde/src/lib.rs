@@ -295,6 +295,29 @@ pub mod __private {
         fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 
+    /// Fail on the first key of `fields` that is not in `known`, naming
+    /// it and the expected keys as real serde's `deny_unknown_fields`
+    /// does.
+    pub fn deny_unknown_fields(
+        fields: &[(String, Value)],
+        known: &[&str],
+        ty: &str,
+    ) -> Result<(), DeError> {
+        let Some((key, _)) = fields.iter().find(|(k, _)| !known.contains(&k.as_str())) else {
+            return Ok(());
+        };
+        let quoted: Vec<String> = known.iter().map(|k| format!("`{k}`")).collect();
+        let expected = match quoted.as_slice() {
+            [] => "there are no fields".to_string(),
+            [one] => format!("expected {one}"),
+            [a, b] => format!("expected {a} or {b}"),
+            all => format!("expected one of {}", all.join(", ")),
+        };
+        Err(DeError::msg(format!(
+            "unknown field `{key}` in {ty}, {expected}"
+        )))
+    }
+
     /// View a value as an object's field list, or fail with context.
     pub fn as_object<'v>(v: &'v Value, ty: &str) -> Result<&'v [(String, Value)], DeError> {
         match v {

@@ -1,7 +1,9 @@
 //! The three field options the derive shim accepts — `default`,
-//! `default = "path"` and `skip_serializing_if = "path"` — behave like
-//! real serde's: missing keys fall back, skipped keys vanish without
-//! reordering the rest, and required fields keep their error text.
+//! `default = "path"` and `skip_serializing_if = "path"` — and its one
+//! container option, `deny_unknown_fields`, behave like real serde's:
+//! missing keys fall back, skipped keys vanish without reordering the
+//! rest, required fields keep their error text, and a denied unknown key
+//! fails naming itself.
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -117,4 +119,71 @@ fn fields_without_default_stay_required_with_the_same_error() {
     ]))
     .unwrap_err();
     assert_eq!(err.to_string(), "missing field `tags` in Sparse");
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+struct Strict {
+    a: u32,
+    #[serde(default)]
+    b: u32,
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+struct OneKey {
+    only: u32,
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+enum Shape {
+    Dot,
+    Box { w: u32, h: u32, d: u32 },
+}
+
+#[test]
+fn denied_unknown_keys_fail_naming_the_key_and_the_expected_ones() {
+    let ok = Strict::from_value(&object(&[("a", Value::Int(1))])).unwrap();
+    assert_eq!(ok, Strict { a: 1, b: 0 });
+    let err =
+        Strict::from_value(&object(&[("a", Value::Int(1)), ("c", Value::Int(2))])).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "unknown field `c` in Strict, expected `a` or `b`"
+    );
+    // The unknown key is reported even when a required one is missing.
+    let err = Strict::from_value(&object(&[("zz", Value::Int(1))])).unwrap_err();
+    assert!(err.to_string().starts_with("unknown field `zz`"), "{err}");
+    let err = OneKey::from_value(&object(&[("onyl", Value::Int(1))])).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "unknown field `onyl` in OneKey, expected `only`"
+    );
+    // An enum's struct variants deny too; unit variants are unaffected.
+    assert_eq!(
+        Shape::from_value(&Value::Str("Dot".into())).unwrap(),
+        Shape::Dot
+    );
+    let inner = object(&[
+        ("w", Value::Int(1)),
+        ("h", Value::Int(2)),
+        ("d", Value::Int(3)),
+        ("x", Value::Int(4)),
+    ]);
+    let err = Shape::from_value(&object(&[("Box", inner)])).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "unknown field `x` in Shape::Box, expected one of `w`, `h`, `d`"
+    );
+}
+
+#[test]
+fn types_without_the_option_still_ignore_unknown_keys() {
+    let knobs = Knobs::from_value(&object(&[
+        ("name", Value::Str("a".into())),
+        ("extra", Value::Int(1)),
+    ]))
+    .unwrap();
+    assert_eq!(knobs.name, "a");
 }

@@ -20,17 +20,27 @@
 //! * `skip_serializing_if = "path"`: the key is omitted when
 //!   `path(&self.field)` is true; the other keys keep declaration order
 //!
-//! Any other option, a `#[serde]` anywhere else (container, variant, tuple
-//! or variant field), generic parameters, and unions produce a
-//! `compile_error!` naming this crate, so a future reader hits a signpost
-//! instead of a confusing expansion failure.
+//! Containers accept one option, `#[serde(deny_unknown_fields)]`:
+//! deserializing an object with a key a named struct (or an enum's struct
+//! variant) does not declare fails, naming the key and the expected ones,
+//! instead of ignoring it. As in real serde, it has no effect on types
+//! without named fields.
+//!
+//! Any other option, a `#[serde]` anywhere else (variant, tuple or variant
+//! field), generic parameters, and unions produce a `compile_error!`
+//! naming this crate, so a future reader hits a signpost instead of a
+//! confusing expansion failure.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// What we learned about the item under derive.
 enum Item {
     /// `struct S { a: T, b: U }` — fields in declaration order.
-    NamedStruct { name: String, fields: Vec<Field> },
+    NamedStruct {
+        name: String,
+        fields: Vec<Field>,
+        deny_unknown_fields: bool,
+    },
     /// `struct S(T, U);` — number of unnamed fields.
     TupleStruct { name: String, arity: usize },
     /// `struct S;`
@@ -39,6 +49,7 @@ enum Item {
     Enum {
         name: String,
         variants: Vec<Variant>,
+        deny_unknown_fields: bool,
     },
 }
 
@@ -92,7 +103,8 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
 
-    reject_serde(&take_attributes(&tokens, &mut i), "a container")?;
+    let container = take_attributes(&tokens, &mut i);
+    let deny_unknown_fields = container_denies_unknown_fields(&container)?;
     skip_visibility(&tokens, &mut i);
 
     let kind = match ident_at(&tokens, i) {
@@ -120,11 +132,13 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
                 Ok(Item::NamedStruct {
                     name,
                     fields: parse_named_fields(&body, true)?,
+                    deny_unknown_fields,
                 })
             } else {
                 Ok(Item::Enum {
                     name,
                     variants: parse_variants(&body)?,
+                    deny_unknown_fields,
                 })
             }
         }
@@ -194,6 +208,23 @@ fn reject_serde(attrs: &[Vec<TokenTree>], place: &str) -> Result<(), String> {
              struct fields take options (see shims/serde_derive)"
         ))
     }
+}
+
+/// Whether the container's `#[serde(...)]` attributes say
+/// `deny_unknown_fields`, the one container option the shim takes.
+fn container_denies_unknown_fields(attrs: &[Vec<TokenTree>]) -> Result<bool, String> {
+    let mut deny = false;
+    for attr in attrs {
+        let text: String = attr.iter().map(|t| t.to_string()).collect();
+        if text.split_whitespace().collect::<String>() != "(deny_unknown_fields)" || deny {
+            return Err(format!(
+                "serde shim derive: unsupported container attribute `#[serde{text}]`; only \
+                 one `#[serde(deny_unknown_fields)]` is supported (see shims/serde_derive)"
+            ));
+        }
+        deny = true;
+    }
+    Ok(deny)
 }
 
 /// Apply one field's `#[serde(...)]` options: `default`,
@@ -394,7 +425,7 @@ fn parse_variants(tokens: &[TokenTree]) -> Result<Vec<Variant>, String> {
 
 fn gen_serialize(item: &Item) -> String {
     let (name, body) = match item {
-        Item::NamedStruct { name, fields } => {
+        Item::NamedStruct { name, fields, .. } => {
             let pushes = fields
                 .iter()
                 .map(|f| {
@@ -429,7 +460,7 @@ fn gen_serialize(item: &Item) -> String {
             (name, format!("::serde::Value::Array(::std::vec![{items}])"))
         }
         Item::UnitStruct { name } => (name, "::serde::Value::Null".to_string()),
-        Item::Enum { name, variants } => {
+        Item::Enum { name, variants, .. } => {
             let arms = variants
                 .iter()
                 .map(|v| gen_serialize_arm(name, v))
@@ -493,7 +524,13 @@ fn gen_serialize_arm(name: &str, v: &Variant) -> String {
 
 fn gen_deserialize(item: &Item) -> String {
     let (name, body) = match item {
-        Item::NamedStruct { name, fields } => {
+        Item::NamedStruct {
+            name,
+            fields,
+            deny_unknown_fields,
+        } => {
+            let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+            let deny = deny_unknown(*deny_unknown_fields, "__fields", &names, name);
             let inits = fields
                 .iter()
                 .map(|f| {
@@ -518,6 +555,7 @@ fn gen_deserialize(item: &Item) -> String {
                 name,
                 format!(
                     "let __fields = ::serde::__private::as_object(v, {name:?})?;\n\
+                     {deny}\
                      ::std::result::Result::Ok({name} {{ {inits} }})"
                 ),
             )
@@ -553,7 +591,11 @@ fn gen_deserialize(item: &Item) -> String {
                  }}"
             ),
         ),
-        Item::Enum { name, variants } => {
+        Item::Enum {
+            name,
+            variants,
+            deny_unknown_fields,
+        } => {
             let unit_arms = variants
                 .iter()
                 .filter(|v| matches!(v.shape, VariantShape::Unit))
@@ -566,7 +608,7 @@ fn gen_deserialize(item: &Item) -> String {
             let data_arms = variants
                 .iter()
                 .filter(|v| !matches!(v.shape, VariantShape::Unit))
-                .map(|v| gen_deserialize_data_arm(name, v))
+                .map(|v| gen_deserialize_data_arm(name, v, *deny_unknown_fields))
                 .collect::<Vec<_>>()
                 .join("\n");
             (
@@ -602,7 +644,16 @@ fn gen_deserialize(item: &Item) -> String {
     )
 }
 
-fn gen_deserialize_data_arm(name: &str, v: &Variant) -> String {
+/// The statement that rejects keys outside `names` in the object bound
+/// to `fields`, or nothing when the type accepts unknown keys.
+fn deny_unknown(deny: bool, fields: &str, names: &[&str], ty: &str) -> String {
+    if !deny {
+        return String::new();
+    }
+    format!("::serde::__private::deny_unknown_fields({fields}, &{names:?}, {ty:?})?;\n")
+}
+
+fn gen_deserialize_data_arm(name: &str, v: &Variant, deny_unknown_fields: bool) -> String {
     let vn = &v.name;
     match &v.shape {
         VariantShape::Unit => unreachable!("unit variants handled as strings"),
@@ -626,6 +677,8 @@ fn gen_deserialize_data_arm(name: &str, v: &Variant) -> String {
         }
         VariantShape::Named(fields) => {
             let ty = format!("{name}::{vn}");
+            let names: Vec<&str> = fields.iter().map(String::as_str).collect();
+            let deny = deny_unknown(deny_unknown_fields, "__vfields", &names, &ty);
             let inits = fields
                 .iter()
                 .map(|f| {
@@ -639,6 +692,7 @@ fn gen_deserialize_data_arm(name: &str, v: &Variant) -> String {
             format!(
                 "{vn:?} => {{\n\
                      let __vfields = ::serde::__private::as_object(__inner, {ty:?})?;\n\
+                     {deny}\
                      ::std::result::Result::Ok({name}::{vn} {{ {inits} }})\n\
                  }},"
             )

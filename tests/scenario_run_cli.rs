@@ -34,6 +34,30 @@ fn save_temp(name: &str, spec: &FleetSpec) -> PathBuf {
     path
 }
 
+/// A checked-in spec file's text with the first `from` replaced by `to`.
+fn edited_spec(file: &str, from: &str, to: &str) -> String {
+    let text = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(file))
+        .expect("checked-in spec reads");
+    assert!(text.contains(from), "{file} has no `{from}`");
+    text.replacen(from, to, 1)
+}
+
+/// Write `text` as a temp spec file and check it with `--validate` and
+/// then run it: both must exit 2. Returns the run's stderr.
+fn exits_two(name: &str, text: &str) -> String {
+    let path = std::env::temp_dir().join(format!("scenario_run_cli_{name}"));
+    std::fs::write(&path, text).expect("temp spec written");
+    let mut err = String::new();
+    for extra in [&["--validate"][..], &[][..]] {
+        let mut args = vec![path.to_str().unwrap()];
+        args.extend_from_slice(extra);
+        let out = scenario_run(&args);
+        assert_eq!(out.status.code(), Some(2), "{name} {extra:?}: {out:?}");
+        err = String::from_utf8_lossy(&out.stderr).into_owned();
+    }
+    err
+}
+
 #[test]
 fn checked_in_specs_run_cleanly() {
     for spec in [
@@ -49,7 +73,7 @@ fn checked_in_specs_run_cleanly() {
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).expect("utf8");
     let outcome = FleetOutcome::from_json(&text).expect("fleet outcome parses");
-    assert_eq!(outcome.policy, "hint-etx");
+    assert_eq!(outcome.policy, "hint-aware");
     assert!(outcome.total_handoffs >= 2);
 }
 
@@ -80,6 +104,29 @@ fn malformed_fleet_specs_exit_two_with_actionable_stderr() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("outside the environment bounds"), "{err}");
 
+    // A misspelled top-level key is rejected by name, not ignored.
+    let typo = edited_spec(
+        "scenarios/fleet_office_walk.json",
+        "\"payload_bytes\"",
+        "\"payload_byte\"",
+    );
+    let err = exits_two("typo_key.json", &typo);
+    assert!(
+        err.contains("unknown field `payload_byte` in FleetSpec"),
+        "{err}"
+    );
+
+    // `hint-etx` is an unknown policy, and the message lists the known
+    // names.
+    let etx = edited_spec(
+        "scenarios/fleet_office_walk.json",
+        "\"policy\": \"hint-aware\"",
+        "\"policy\": \"hint-etx\"",
+    );
+    let err = exits_two("hint_etx.json", &etx);
+    assert!(err.contains("unknown handoff policy `hint-etx`"), "{err}");
+    assert!(err.contains("strongest-signal, hint-aware"), "{err}");
+
     // Unparseable JSON with a clients field still routes to the fleet
     // parser and exits 2.
     let garbage = std::env::temp_dir().join("scenario_run_cli_garbage.json");
@@ -91,41 +138,11 @@ fn malformed_fleet_specs_exit_two_with_actionable_stderr() {
 #[test]
 fn malformed_medium_specs_exit_two_with_actionable_stderr() {
     use sensor_hints::rateadapt::fleet::MediumSpec;
-    use sensor_hints::sim::SimDuration;
-
-    // Zero slot time: backoff could never elapse.
-    let mut zero_slot = checked_in_fleet();
-    zero_slot.medium = MediumSpec {
-        slot: SimDuration::ZERO,
-        ..MediumSpec::shared()
-    };
-    let path = save_temp("zero_slot.json", &zero_slot);
-    let out = scenario_run(&[path.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("slot time must be positive"), "{err}");
-
-    // Inverted backoff window: min above max.
-    let mut inverted_cw = checked_in_fleet();
-    inverted_cw.medium = MediumSpec {
-        cw_min: 255,
-        cw_max: 31,
-        ..MediumSpec::shared()
-    };
-    let path = save_temp("inverted_cw.json", &inverted_cw);
-    let out = scenario_run(&[path.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("backoff window min 255 exceeds max 31"),
-        "{err}"
-    );
 
     // Unknown contention mode: message lists the valid names.
     let mut bad_mode = checked_in_fleet();
     bad_mode.medium = MediumSpec {
         contention: "telepathic".into(),
-        ..MediumSpec::shared()
     };
     let path = save_temp("bad_mode.json", &bad_mode);
     let out = scenario_run(&[path.to_str().unwrap()]);
@@ -135,30 +152,21 @@ fn malformed_medium_specs_exit_two_with_actionable_stderr() {
     assert!(err.contains("isolated"), "must list modes: {err}");
     assert!(err.contains("shared"), "must list modes: {err}");
 
-    // Zero scheduling epoch.
-    let mut zero_epoch = checked_in_fleet();
-    zero_epoch.medium = MediumSpec {
-        epoch: SimDuration::ZERO,
-        ..MediumSpec::shared()
-    };
-    let path = save_temp("zero_epoch.json", &zero_epoch);
-    let out = scenario_run(&[path.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("epoch must be positive"), "{err}");
-
-    // Sub-second epoch: spans read one share per second, so it is
-    // rejected before any cell is arbitrated.
-    let mut fine_epoch = checked_in_fleet();
-    fine_epoch.medium = MediumSpec {
-        epoch: SimDuration::from_micros(100),
-        ..MediumSpec::shared()
-    };
-    let path = save_temp("fine_epoch.json", &fine_epoch);
-    let out = scenario_run(&[path.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("medium.epoch 100us"), "{err}");
+    // The DCF parameters are 802.11a's, not spec fields: a medium that
+    // sets one (or misspells a key) is rejected naming the key.
+    for key in ["cw_min", "cw_mni"] {
+        let text = edited_spec(
+            "scenarios/fleet_contended_office.json",
+            "\"contention\": \"shared\"",
+            &format!("\"contention\": \"shared\",\n    \"{key}\": 31"),
+        );
+        let err = exits_two(&format!("medium_{key}.json"), &text);
+        assert!(
+            err.contains(&format!("unknown field `{key}` in MediumSpec")),
+            "{err}"
+        );
+        assert!(err.contains("expected `contention`"), "{err}");
+    }
 }
 
 #[test]
@@ -321,6 +329,20 @@ fn bad_fault_schedules_exit_two_with_actionable_stderr() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("zero duration"), "{err}");
+
+    // `random_outages` is not a fault field: a spec naming it is
+    // rejected by key rather than run without it.
+    let storm = edited_spec(
+        "scenarios/fleet_resilience.json",
+        "\"faults\": {",
+        "\"faults\": {\n    \"random_outages\": {\"count\": 3, \"min_duration\": 1000000, \
+         \"max_duration\": 2000000},",
+    );
+    let err = exits_two("random_outages.json", &storm);
+    assert!(
+        err.contains("unknown field `random_outages` in FaultSpec"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -1,15 +1,14 @@
 //! The JSON wire format, checked without running a simulation.
 //!
 //! Every golden outcome must re-serialize to its own bytes after a
-//! parse, and every checked-in spec file must survive
-//! parse → pretty-print → parse unchanged. Together the goldens carry
-//! every sparse outcome field (`backhaul_dropped`, the per-client
-//! resilience fields, the per-AP contention and fault fields, and the
-//! outcome-level `contention` marker), so a serializer that drops,
-//! reorders or invents a key fails here.
+//! parse (the spec files' byte check is in `scenario_api.rs`). Together
+//! the goldens carry every sparse outcome field (`backhaul_dropped`, the
+//! per-client resilience fields, the per-AP contention and fault fields,
+//! and the outcome-level `contention` marker), so a serializer that
+//! drops, reorders or invents a key fails here.
 
-use sensor_hints::rateadapt::fleet::{FleetOutcome, FleetSpec};
-use sensor_hints::rateadapt::scenario::{ScenarioOutcome, ScenarioSpec};
+use sensor_hints::rateadapt::fleet::FleetOutcome;
+use sensor_hints::rateadapt::scenario::ScenarioOutcome;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -24,8 +23,7 @@ fn json_files(dir: &str) -> Vec<PathBuf> {
     files
 }
 
-/// Specs and outcomes alike: fleet documents are the ones with a
-/// `clients` array.
+/// Fleet outcomes are the ones with a `clients` array.
 fn is_fleet(json: &str) -> bool {
     json.contains("\"clients\"")
 }
@@ -74,24 +72,5 @@ fn every_golden_outcome_reserializes_byte_identically() {
             all.contains(&format!("\"{key}\"")),
             "no golden exercises `{key}`"
         );
-    }
-}
-
-#[test]
-fn every_checked_in_spec_round_trips() {
-    let specs = json_files("scenarios");
-    assert!(specs.len() >= 8, "expected the checked-in specs: {specs:?}");
-    for path in specs {
-        let text = fs::read_to_string(&path).expect("spec reads");
-        let name = path.display();
-        if is_fleet(&text) {
-            let spec = FleetSpec::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let back = FleetSpec::from_json(&spec.to_json_pretty()).expect("re-parses");
-            assert_eq!(back, spec, "{name}");
-        } else {
-            let spec = ScenarioSpec::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let back = ScenarioSpec::from_json(&spec.to_json_pretty()).expect("re-parses");
-            assert_eq!(back, spec, "{name}");
-        }
     }
 }
