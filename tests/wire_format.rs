@@ -1,14 +1,14 @@
 //! The JSON wire format, checked without running a simulation.
 //!
-//! Every golden outcome must re-serialize to its own bytes after a
-//! parse (the spec files' byte check is in `scenario_api.rs`). Together
-//! the goldens carry every sparse outcome field (`backhaul_dropped`, the
-//! per-client resilience fields, the per-AP contention and fault fields,
-//! and the outcome-level `contention` marker), so a serializer that
-//! drops, reorders or invents a key fails here.
+//! Every golden outcome and every checked-in spec file must
+//! re-serialize to its own bytes after a parse. Together the goldens
+//! carry every sparse outcome field (`backhaul_dropped`, the per-client
+//! resilience fields, the per-AP contention and fault fields, and the
+//! outcome-level `contention` marker), so a serializer that drops,
+//! reorders or invents a key fails here.
 
-use sensor_hints::rateadapt::fleet::FleetOutcome;
-use sensor_hints::rateadapt::scenario::ScenarioOutcome;
+use sensor_hints::rateadapt::fleet::{FleetOutcome, FleetSpec};
+use sensor_hints::rateadapt::scenario::{ScenarioOutcome, ScenarioSpec};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -23,7 +23,8 @@ fn json_files(dir: &str) -> Vec<PathBuf> {
     files
 }
 
-/// Fleet outcomes are the ones with a `clients` array.
+/// Specs and outcomes alike: fleet documents are the ones with a
+/// `clients` array.
 fn is_fleet(json: &str) -> bool {
     json.contains("\"clients\"")
 }
@@ -71,6 +72,31 @@ fn every_golden_outcome_reserializes_byte_identically() {
         assert!(
             all.contains(&format!("\"{key}\"")),
             "no golden exercises `{key}`"
+        );
+    }
+}
+
+/// A key the parser dropped, renamed or reordered would change the
+/// bytes. `from_json`, not `load`, so trace paths stay as written.
+#[test]
+fn every_checked_in_spec_round_trips() {
+    let specs = json_files("scenarios");
+    assert!(specs.len() >= 8, "expected the checked-in specs: {specs:?}");
+    for path in specs {
+        let text = fs::read_to_string(&path).expect("spec reads");
+        let name = path.display();
+        let again = if is_fleet(&text) {
+            FleetSpec::from_json(&text)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+                .to_json_pretty()
+        } else {
+            ScenarioSpec::from_json(&text)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+                .to_json_pretty()
+        };
+        assert!(
+            again + "\n" == text,
+            "{name} does not re-serialize to its own bytes"
         );
     }
 }
