@@ -87,8 +87,9 @@ impl RateAdapter for HintAware {
         self.active().report(now, rate, success);
     }
 
-    fn report_snr(&mut self, _now: SimTime, _snr_db: f64) {
+    fn reads_snr(&self) -> bool {
         // Neither underlying strategy is SNR-based.
+        false
     }
 
     fn report_movement_hint(&mut self, now: SimTime, moving: bool) {

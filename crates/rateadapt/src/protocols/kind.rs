@@ -102,7 +102,64 @@ impl ProtocolKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hint_mac::BitRate;
     use hint_sim::SimTime;
+    use proptest::prelude::*;
+
+    /// The rates `kind` picks over `steps`, fed the SNR `snr(step)`: each
+    /// step is a movement hint, an SNR report, a pick and its outcome.
+    fn drive(
+        kind: ProtocolKind,
+        steps: &[(u64, bool, u8, f64, f64)],
+        snr: impl Fn(&(u64, bool, u8, f64, f64)) -> f64,
+    ) -> Vec<BitRate> {
+        let mut adapter = kind.build(&ProtocolParams {
+            samplerate_window: SimDuration::from_millis(300),
+        });
+        let mut now = SimTime::ZERO;
+        let mut rates = Vec::with_capacity(steps.len());
+        for step in steps {
+            let &(gap_us, moving, roll, _, _) = step;
+            now += SimDuration::from_micros(gap_us);
+            adapter.report_movement_hint(now, moving);
+            adapter.report_snr(now, snr(step));
+            let rate = adapter.pick_rate(now);
+            // Success odds fall with the rate index.
+            adapter.report(now, rate, u32::from(roll) > 12 * rate.index() as u32);
+            rates.push(rate);
+        }
+        rates
+    }
+
+    proptest! {
+        /// `reads_snr` is honest for every kind: a kind that says `false`
+        /// picks the same rates whatever SNR it is fed, and RBAR and
+        /// CHARM, which say `true`, pick differently when one feed reads
+        /// 20–35 dB and the other 0–12 dB.
+        #[test]
+        fn reads_snr_is_honest(
+            steps in proptest::collection::vec(
+                (0u64..5_000, any::<bool>(), 0u8..100, 20.0f64..35.0, 0.0f64..12.0),
+                200..400,
+            ),
+        ) {
+            for kind in ProtocolKind::ALL {
+                let a = drive(kind, &steps, |s| s.3);
+                let b = drive(kind, &steps, |s| s.4);
+                let reads = kind.build(&ProtocolParams::default()).reads_snr();
+                prop_assert_eq!(
+                    reads,
+                    matches!(kind, ProtocolKind::Rbar | ProtocolKind::Charm),
+                    "{}", kind.name()
+                );
+                if reads {
+                    prop_assert_ne!(a, b, "{} ignored its SNR feed", kind.name());
+                } else {
+                    prop_assert_eq!(a, b, "{} reads SNR", kind.name());
+                }
+            }
+        }
+    }
 
     #[test]
     fn all_six_paper_protocols_in_presentation_order() {

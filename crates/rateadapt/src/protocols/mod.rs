@@ -83,6 +83,15 @@ pub trait RateAdapter {
     /// ignored by frame-based protocols).
     fn report_snr(&mut self, _now: SimTime, _snr_db: f64) {}
 
+    /// Whether [`RateAdapter::report_snr`] can change what this adapter
+    /// picks. The link simulator measures SNR only for adapters that say
+    /// yes. The default is `true`, so a custom adapter always gets the
+    /// feedback; an adapter whose picks never depend on SNR returns
+    /// `false` to spare every attempt the measurement.
+    fn reads_snr(&self) -> bool {
+        true
+    }
+
     /// Movement hint delivered by the hint protocol (consumed by the
     /// hint-aware switcher; ignored by hint-oblivious protocols).
     fn report_movement_hint(&mut self, _now: SimTime, _moving: bool) {}

@@ -170,6 +170,10 @@ impl RateAdapter for RapidSample {
         }
     }
 
+    fn reads_snr(&self) -> bool {
+        false
+    }
+
     fn reset(&mut self, now: SimTime) {
         *self = RapidSample::with_params(self.delta_success, self.delta_fail);
         self.picked_time = [now; BitRate::COUNT];

@@ -141,6 +141,10 @@ impl RateAdapter for Rraa {
         }
     }
 
+    fn reads_snr(&self) -> bool {
+        false
+    }
+
     fn reset(&mut self, _now: SimTime) {
         let w = self.window_frames;
         *self = Rraa::new();

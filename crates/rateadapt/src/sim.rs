@@ -10,7 +10,8 @@
 //!
 //! * **Frame outcomes** reach the adapter after every attempt.
 //! * **Receiver SNR** reaches the adapter every packet ("we assumed that
-//!   the sender has up-to-date knowledge about the receiver SNR").
+//!   the sender has up-to-date knowledge about the receiver SNR"), when
+//!   the adapter reads it ([`RateAdapter::reads_snr`]).
 //! * **Movement hints** reach the adapter every packet when a
 //!   [`HintStream`] is attached (the hint bit rides ACK and probe-request
 //!   frames, Sec. 2.3).
@@ -317,6 +318,8 @@ struct LinkRun<'r> {
     trace: &'r Trace,
     hints: Option<&'r HintStream>,
     adapter: &'r mut dyn RateAdapter,
+    /// The adapter's [`RateAdapter::reads_snr`], read once per run.
+    reads_snr: bool,
     /// Per-packet independent noise-loss draws (see [`Trace::noise_loss`]):
     /// noise events are shorter than a 5 ms slot, so they are drawn here,
     /// per packet, rather than baked into slot fates. Re-derived from the
@@ -339,6 +342,7 @@ impl<'r> LinkRun<'r> {
             sim,
             trace: &sim.trace,
             hints: sim.hints.as_deref(),
+            reads_snr: adapter.reads_snr(),
             adapter,
             noise: RngStream::new(sim.trace.seed).derive("link-noise"),
             rec,
@@ -358,9 +362,17 @@ impl<'r> LinkRun<'r> {
     /// might not hold for all symbols in the packet") — at vehicular
     /// speeds a preamble-based SNR estimate is close to useless, which is
     /// why the SNR-based protocols trail RapidSample by ~2x in Fig. 3-8.
+    ///
+    /// An adapter that does not read SNR gets no measurement: the noise
+    /// stream skips the draw ([`RngStream::skip_normal`]) so the later
+    /// noise-loss draws, and so the run, stay exactly the same.
     fn feedback(&mut self, now: SimTime) {
         if let Some(h) = self.hints {
             self.adapter.report_movement_hint(now, h.query(now));
+        }
+        if !self.reads_snr {
+            self.noise.skip_normal();
+            return;
         }
         let stale = now.saturating_since(SimTime::ZERO + hint_channel::SLOT_DURATION);
         let slot = self.trace.slot_at(SimTime::ZERO + stale);

@@ -250,29 +250,36 @@ impl PacketTrace {
                 continue;
             }
             let err = |reason: String| TraceError::Text { line, reason };
-            let fields: Vec<&str> = text.split(',').map(str::trim).collect();
-            if fields.len() != 3 {
+            // Split on comma byte offsets instead of collecting the fields,
+            // so a 34k-line trace allocates nothing per line. `,` is ASCII,
+            // so every offset is a char boundary.
+            let mut commas = text.bytes().enumerate().filter(|&(_, b)| b == b',');
+            let (Some((c1, _)), Some((c2, _)), None) =
+                (commas.next(), commas.next(), commas.next())
+            else {
                 return Err(err(format!(
                     "expected `time_us,direction,size` (3 comma-separated fields), got {}",
-                    fields.len()
+                    text.split(',').count()
                 )));
-            }
-            let time_us: u64 = fields[0].parse().map_err(|_| {
+            };
+            let (time, dir, size) = (
+                text[..c1].trim(),
+                text[c1 + 1..c2].trim(),
+                text[c2 + 1..].trim(),
+            );
+            let time_us: u64 = time.parse().map_err(|_| {
                 err(format!(
-                    "invalid time_us `{}`: expected a non-negative integer of microseconds",
-                    fields[0]
+                    "invalid time_us `{time}`: expected a non-negative integer of microseconds"
                 ))
             })?;
-            let direction = Direction::from_code(fields[1]).ok_or_else(|| {
+            let direction = Direction::from_code(dir).ok_or_else(|| {
                 err(format!(
-                    "unknown direction `{}` (expected `s` for sent or `r` for received)",
-                    fields[1]
+                    "unknown direction `{dir}` (expected `s` for sent or `r` for received)"
                 ))
             })?;
-            let size: u32 = fields[2].parse().map_err(|_| {
+            let size: u32 = size.parse().map_err(|_| {
                 err(format!(
-                    "invalid size `{}`: expected a positive integer of bytes",
-                    fields[2]
+                    "invalid size `{size}`: expected a positive integer of bytes"
                 ))
             })?;
             if let Some(reason) = size_error(size) {
@@ -434,6 +441,201 @@ impl PacketTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The text parser as it was before fields came off an iterator: it
+    /// collects every line's fields into a `Vec`. The parser must agree
+    /// with it, record for record and error for error.
+    fn reference_parse_text(src: &str) -> Result<PacketTrace, TraceError> {
+        let mut records = Vec::new();
+        let mut prev: Option<(usize, u64)> = None;
+        for (idx, raw) in src.lines().enumerate() {
+            let line = idx + 1;
+            let text = raw.trim();
+            if text.is_empty() || text.starts_with('#') {
+                continue;
+            }
+            let err = |reason: String| TraceError::Text { line, reason };
+            let fields: Vec<&str> = text.split(',').map(str::trim).collect();
+            if fields.len() != 3 {
+                return Err(err(format!(
+                    "expected `time_us,direction,size` (3 comma-separated fields), got {}",
+                    fields.len()
+                )));
+            }
+            let time_us: u64 = fields[0].parse().map_err(|_| {
+                err(format!(
+                    "invalid time_us `{}`: expected a non-negative integer of microseconds",
+                    fields[0]
+                ))
+            })?;
+            let direction = Direction::from_code(fields[1]).ok_or_else(|| {
+                err(format!(
+                    "unknown direction `{}` (expected `s` for sent or `r` for received)",
+                    fields[1]
+                ))
+            })?;
+            let size: u32 = fields[2].parse().map_err(|_| {
+                err(format!(
+                    "invalid size `{}`: expected a positive integer of bytes",
+                    fields[2]
+                ))
+            })?;
+            if let Some(reason) = size_error(size) {
+                return Err(err(reason));
+            }
+            if let Some((prev_line, prev_t)) = prev {
+                if time_us < prev_t {
+                    return Err(err(format!(
+                        "timestamp {time_us} us runs backwards (line {prev_line} was \
+                         {prev_t} us); trace timestamps must be non-decreasing"
+                    )));
+                }
+            }
+            prev = Some((line, time_us));
+            records.push(PacketRecord {
+                time_us,
+                direction,
+                size,
+            });
+        }
+        Ok(PacketTrace { records })
+    }
+
+    /// Field tokens for adversarial lines: valid values, `from_str` edge
+    /// cases (a leading `+`, `u64` and `u32` overflow, a sign, an
+    /// exponent, a non-ASCII digit), empty fields, comment starts and
+    /// Unicode whitespace that `trim` must strip.
+    const TOKENS: [&str; 24] = [
+        "0",
+        "5",
+        "+5",
+        "220",
+        "1000",
+        "2304",
+        "2305",
+        "18446744073709551615",
+        "18446744073709551616",
+        "4294967296",
+        "-1",
+        "1e3",
+        "\u{663}",
+        "",
+        "s",
+        "r",
+        "x",
+        "S",
+        "# note",
+        " 12 ",
+        "\t7\t",
+        "\u{a0}9\u{2003}",
+        "\u{b}3\u{c}",
+        "s r",
+    ];
+
+    /// Padding around a line or inside a field separator.
+    const PADS: [&str; 6] = ["", " ", "\t", "\u{b}\u{c}", "\u{a0}", " \u{2003} "];
+
+    /// Line terminators, including none on the last line.
+    const ENDS: [&str; 4] = ["\n", "\r\n", "\r", ""];
+
+    /// Render lines of `(tokens, pad before, pad around commas, ending,
+    /// shape)`. Shape 0 joins the tokens, 1 adds a trailing comma, and any
+    /// other shape builds a well-formed record from the first three token
+    /// indices, so many inputs parse and the records are compared too.
+    fn render(lines: &[(Vec<usize>, usize, usize, usize, u8)]) -> String {
+        const TIMES: [&str; 5] = ["0", "+5", "220", " 12 ", "\u{a0}9\u{2003}"];
+        const SIZES: [&str; 4] = ["1000", "+60", "2304", "\t7\t"];
+        let mut src = String::new();
+        for (tokens, pre, post, end, shape) in lines {
+            let sep = format!("{},", PADS[*post]);
+            src.push_str(PADS[*pre]);
+            if *shape >= 2 {
+                let pick = |i: usize| tokens.get(i).copied().unwrap_or(0);
+                let fields = [
+                    TIMES[pick(0) % TIMES.len()],
+                    ["s", "r"][pick(1) % 2],
+                    SIZES[pick(2) % SIZES.len()],
+                ];
+                src.push_str(&fields.join(&sep));
+            } else {
+                let fields: Vec<&str> = tokens.iter().map(|&t| TOKENS[t]).collect();
+                src.push_str(&fields.join(&sep));
+                if *shape == 1 {
+                    src.push(',');
+                }
+            }
+            src.push_str(PADS[*post]);
+            src.push_str(ENDS[*end]);
+        }
+        src
+    }
+
+    proptest! {
+        /// On adversarial text the parser returns exactly what the
+        /// reference returns: the same records, or the same line and
+        /// message.
+        #[test]
+        fn parser_agrees_with_the_reference_on_adversarial_lines(
+            lines in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0..TOKENS.len(), 0..5),
+                    0..PADS.len(),
+                    0..PADS.len(),
+                    0..ENDS.len(),
+                    0u8..6,
+                ),
+                1..8,
+            ),
+        ) {
+            let src = render(&lines);
+            prop_assert_eq!(PacketTrace::parse_text(&src), reference_parse_text(&src), "{:?}", src);
+        }
+    }
+
+    #[test]
+    fn checked_in_trace_parses_as_the_reference_does_and_round_trips() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/traces/office_mixed_udp.txt"
+        );
+        let src = std::fs::read_to_string(path).expect("checked-in trace");
+        let t = PacketTrace::parse_text(&src).expect("checked-in trace parses");
+        assert_eq!(Ok(&t), reference_parse_text(&src).as_ref());
+        assert_eq!(PacketTrace::parse_text(&t.to_text()), Ok(t));
+    }
+
+    #[test]
+    fn parser_agrees_with_the_reference_on_hand_picked_lines() {
+        for src in [
+            "0,s,1000\r\n5,r,60\r\n",
+            "\t0\t,\ts\t,\t1000\t\n",
+            "\u{b}0,s,1000\u{c}\n",
+            "\u{a0}0,\u{2003}s,1000\u{a0}\n",
+            "+5,s,+1000\n",
+            "18446744073709551615,s,1\n",
+            "18446744073709551616,s,1\n",
+            "0,s,4294967296\n",
+            "0,s\n",
+            "0,s,1000,\n",
+            "0,s,1000,7\n",
+            ",s,1000\n",
+            "0,,1000\n",
+            "0,s,\n",
+            "   # indented comment\n\t\n\n0,s,1000",
+            "0,s,1000\n\n   \n10,r,20\n",
+            "10,s,1\n9,s,1\n",
+            "0,s,0\n",
+            "0,s,2305\n",
+            "",
+        ] {
+            assert_eq!(
+                PacketTrace::parse_text(src),
+                reference_parse_text(src),
+                "{src:?}"
+            );
+        }
+    }
 
     fn sample() -> PacketTrace {
         PacketTrace::new(vec![

@@ -19,7 +19,10 @@
 //! [`RngStream::normal`] (Box–Muller) serves the channel, link noise,
 //! microphone and mobility: moving them to the ziggurat changes their
 //! seeded realizations and re-anchors seed-sensitive shape tests, so that
-//! switch is its own change.
+//! switch is its own change. A caller that must keep its stream in step
+//! but has no use for a Box–Muller draw calls [`RngStream::skip_normal`],
+//! which advances the stream exactly as `normal` would without the
+//! transform.
 
 use rand::RngCore;
 use std::sync::OnceLock;
@@ -52,7 +55,19 @@ pub struct RngStream {
     /// evaluation yields two draws instead of one. Channel fading draws
     /// three normals per 5 ms step, which made the discarded half the
     /// single largest cost on the SNR hot path.
-    spare_normal: Option<f64>,
+    spare_normal: Spare,
+}
+
+/// The banked half of a Box–Muller pair.
+#[derive(Clone, Copy, Debug)]
+enum Spare {
+    /// Nothing banked: the next normal starts a new pair.
+    Empty,
+    /// The sine half, already transformed by [`RngStream::normal`].
+    Value(f64),
+    /// The pair's raw `(u1, u2)` from [`RngStream::skip_normal`], whose
+    /// sine half is transformed only if a later `normal` asks for it.
+    Raw(f64, f64),
 }
 
 /// SplitMix64 step — the recommended seeding procedure for xoshiro.
@@ -87,7 +102,7 @@ impl RngStream {
         RngStream {
             s,
             seed,
-            spare_normal: None,
+            spare_normal: Spare::Empty,
         }
     }
 
@@ -121,21 +136,44 @@ impl RngStream {
     /// This costs about five times [`RngStream::normal_ziggurat`] per draw.
     /// It stays for the channel, link noise, microphone and mobility models
     /// because their seeded outputs, and the shape tests anchored on them,
-    /// are pinned to this draw sequence.
+    /// are pinned to this draw sequence. Link noise calls
+    /// [`RngStream::skip_normal`] instead whenever the adapter under test
+    /// ignores SNR feedback.
     #[inline]
     pub fn normal(&mut self) -> f64 {
-        if let Some(z) = self.spare_normal.take() {
-            return z;
+        match std::mem::replace(&mut self.spare_normal, Spare::Empty) {
+            Spare::Value(z) => z,
+            Spare::Raw(u1, u2) => box_muller(u1, u2).1,
+            Spare::Empty => {
+                let (u1, u2) = self.box_muller_uniforms();
+                let (cos, sin) = box_muller(u1, u2);
+                self.spare_normal = Spare::Value(sin);
+                cos
+            }
         }
+    }
+
+    /// Advance the stream exactly as [`RngStream::normal`] would, without
+    /// computing the variate: the same uniforms are drawn (the `u1 > 0`
+    /// retry included) and the same half of the pair is banked, so every
+    /// later draw sees the bits it would have seen. A banked half is kept
+    /// raw, and a later `normal` that takes it returns the true value.
+    #[inline]
+    pub fn skip_normal(&mut self) {
+        if let Spare::Empty = std::mem::replace(&mut self.spare_normal, Spare::Empty) {
+            let (u1, u2) = self.box_muller_uniforms();
+            self.spare_normal = Spare::Raw(u1, u2);
+        }
+    }
+
+    /// The two uniforms behind one Box–Muller pair: `u1` in `(0, 1)`,
+    /// redrawn while zero to avoid `ln(0)`, then `u2` in `[0, 1)`.
+    #[inline]
+    fn box_muller_uniforms(&mut self) -> (f64, f64) {
         loop {
-            // u1 in (0,1], avoiding ln(0).
-            let u1 = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+            let u1 = self.uniform();
             if u1 > 0.0 {
-                let u2 = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-                let r = (-2.0 * u1.ln()).sqrt();
-                let (sin, cos) = (std::f64::consts::TAU * u2).sin_cos();
-                self.spare_normal = Some(r * sin);
-                return r * cos;
+                return (u1, self.uniform());
             }
         }
     }
@@ -219,6 +257,15 @@ impl RngStream {
         };
         -mean * u.ln()
     }
+}
+
+/// The Box–Muller pair `(r cos θ, r sin θ)` of `r = sqrt(-2 ln u1)` and
+/// `θ = 2π u2`.
+#[inline]
+fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
+    let r = (-2.0 * u1.ln()).sqrt();
+    let (sin, cos) = (std::f64::consts::TAU * u2).sin_cos();
+    (r * cos, r * sin)
 }
 
 /// Start of the ziggurat's tail: the right edge of layer 1.

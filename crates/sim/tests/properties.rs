@@ -101,6 +101,34 @@ proptest! {
         prop_assert!(r.chance(2.0));
     }
 
+    /// skip_normal() advances a stream exactly as normal() does: under
+    /// any interleaving with normal() and uniform(), a stream that skips
+    /// stays at the position of one that draws every normal, and each
+    /// normal() it does draw, a banked half of a skipped pair included,
+    /// is the all-normal() value to the bit.
+    #[test]
+    fn skip_normal_keeps_the_stream_in_step(
+        seed in any::<u64>(),
+        ops in proptest::collection::vec(0u8..3, 0..200),
+    ) {
+        let mut reference = RngStream::new(seed);
+        let mut skipping = RngStream::new(seed);
+        for op in ops {
+            match op {
+                0 => prop_assert_eq!(skipping.normal().to_bits(), reference.normal().to_bits()),
+                1 => {
+                    skipping.skip_normal();
+                    reference.normal();
+                }
+                _ => prop_assert_eq!(skipping.uniform().to_bits(), reference.uniform().to_bits()),
+            }
+            // Same banked half and same generator state.
+            let (mut a, mut b) = (skipping.clone(), reference.clone());
+            prop_assert_eq!(a.normal().to_bits(), b.normal().to_bits());
+            prop_assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
     /// Time-series bucketing conserves the total count and sum.
     #[test]
     fn timeseries_conserves_mass(
