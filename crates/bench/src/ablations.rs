@@ -13,7 +13,7 @@ use crate::report::Report;
 use crate::rline;
 use hint_mac::BitRate;
 use hint_rateadapt::protocols::RapidSample;
-use hint_rateadapt::scenario::{EnvironmentSpec, MotionSpec, ScenarioBuilder};
+use hint_rateadapt::scenario::{EnvironmentSpec, HintSpec, MotionSpec, ProtocolSpec, ScenarioSpec};
 use hint_rateadapt::Workload;
 use hint_sim::{mean, SimDuration};
 use hint_topology::adaptive::{AdaptiveConfig, AdaptiveProber};
@@ -30,15 +30,17 @@ pub fn rapidsample_delta_success_report() -> (Report, Vec<(u64, f64)>) {
     // traces (the scenario's default protocol is overridden per run).
     let scenarios: Vec<_> = (0..6u64)
         .map(|i| {
-            ScenarioBuilder::new()
-                .motion(MotionSpec::Walking {
+            ScenarioSpec {
+                motion: MotionSpec::Walking {
                     speed_mps: 1.4,
                     heading_deg: 0.0,
-                })
-                .duration(dur)
-                .seed(7000 + i)
-                .build()
-                .expect("valid ablation scenario")
+                },
+                duration: dur,
+                seed: 7000 + i,
+                ..ScenarioSpec::default()
+            }
+            .compile()
+            .expect("valid ablation scenario")
         })
         .collect();
     let mut rows_out = Vec::new();
@@ -78,20 +80,23 @@ pub fn hint_latency_report() -> (Report, Vec<(u64, f64)>) {
     for latency_ms in [0u64, 100, 300, 1000, 3000, 8000] {
         let goodputs: Vec<f64> = (0..6u64)
             .map(|i| {
-                ScenarioBuilder::new()
-                    .motion(MotionSpec::HalfAndHalf {
+                ScenarioSpec {
+                    motion: MotionSpec::HalfAndHalf {
                         static_first: i % 2 == 0,
-                    })
-                    .duration(dur)
-                    .seed(7100 + i)
-                    .workload(Workload::tcp())
-                    .protocol("HintAware")
-                    .oracle_hints(SimDuration::from_millis(latency_ms))
-                    .build()
-                    .expect("valid ablation scenario")
-                    .run()
-                    .result
-                    .goodput_bps
+                    },
+                    duration: dur,
+                    seed: 7100 + i,
+                    workload: Workload::tcp(),
+                    protocol: ProtocolSpec::named("HintAware"),
+                    hints: HintSpec::Oracle {
+                        latency: SimDuration::from_millis(latency_ms),
+                    },
+                    ..ScenarioSpec::default()
+                }
+                .run()
+                .expect("valid ablation scenario")
+                .result
+                .goodput_bps
                     / 1e6
             })
             .collect();
@@ -118,15 +123,19 @@ pub fn prober_hold_down_report() -> (Report, Vec<(u64, f64)>) {
         each: SimDuration::from_secs(10),
         n_pairs: 3,
     };
-    let profile = motion.profile(motion.implied_duration().expect("self-sizing motion"));
+    let duration = motion.implied_duration().expect("self-sizing motion");
+    let profile = motion.profile(duration);
     let cases: Vec<_> = (0..6u64)
         .map(|i| {
-            let trace = ScenarioBuilder::new()
-                .environment(EnvironmentSpec::MeshEdge)
-                .motion_sized(motion.clone())
-                .seed(7500 + i)
-                .build_trace()
-                .expect("valid ablation trace");
+            let trace = ScenarioSpec {
+                environment: EnvironmentSpec::MeshEdge,
+                motion: motion.clone(),
+                duration,
+                seed: 7500 + i,
+                ..ScenarioSpec::default()
+            }
+            .trace()
+            .expect("valid ablation trace");
             let stream = ProbeStream::from_trace(&trace, BitRate::R6, i);
             let actual = actual_series(&stream);
             (stream, actual)

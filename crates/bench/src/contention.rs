@@ -27,8 +27,10 @@
 use crate::fleet::Comparison;
 use crate::report::Report;
 use crate::rline;
-use hint_rateadapt::fleet::{FleetOutcome, FleetSpec, MediumSpec};
-use hint_rateadapt::scenario::{HintSpec, MotionSpec};
+use hint_rateadapt::fleet::{
+    ApPlacement, FleetBounds, FleetClientSpec, FleetOutcome, FleetSpec, HandoffSpec, MediumSpec,
+};
+use hint_rateadapt::scenario::{HintSpec, MotionSpec, ProtocolSpec};
 use hint_rateadapt::Workload;
 use hint_sim::SimDuration;
 
@@ -51,37 +53,50 @@ pub fn contended_office_fleet(
     medium: MediumSpec,
 ) -> FleetSpec {
     assert!(n_clients >= 1, "fleet needs at least one client");
-    let mut b = FleetSpec::builder()
-        .bounds(140.0, 100.0)
-        .ap(50.0, 50.0, 65.0)
-        // Client 0: walks east at 1.6 m/s from x=80, crossing the
-        // coverage edge (x = 115) around t ≈ 22 s of the 30 s run.
-        .client(
-            80.0,
-            50.0,
-            MotionSpec::Walking {
-                speed_mps: 1.6,
-                heading_deg: 90.0,
-            },
-            Workload::Udp,
-        )
-        .duration(SimDuration::from_secs(30))
-        .seed(0xC047E17)
-        .protocol("HintAware")
-        .handoff_policy(policy)
-        .hints(hints)
-        .medium(medium);
-    for i in 0..n_clients.saturating_sub(1) {
+    // Client 0: walks east at 1.6 m/s from x=80, crossing the coverage
+    // edge (x = 115) around t ≈ 22 s of the 30 s run.
+    let walker = FleetClientSpec {
+        start_x_m: 80.0,
+        start_y_m: 50.0,
+        motion: MotionSpec::Walking {
+            speed_mps: 1.6,
+            heading_deg: 90.0,
+        },
+        workload: Workload::Udp,
+    };
+    let parked = (0..n_clients - 1).map(|i| {
         let angle = i as f64 * 2.399_963; // golden angle: spread without overlap
         let r = 8.0 + 3.0 * i as f64;
-        b = b.client(
-            50.0 + r * angle.cos(),
-            50.0 + r * angle.sin(),
-            MotionSpec::Stationary,
-            Workload::Udp,
-        );
+        FleetClientSpec {
+            start_x_m: 50.0 + r * angle.cos(),
+            start_y_m: 50.0 + r * angle.sin(),
+            motion: MotionSpec::Stationary,
+            workload: Workload::Udp,
+        }
+    });
+    FleetSpec {
+        bounds: FleetBounds {
+            width_m: 140.0,
+            height_m: 100.0,
+        },
+        aps: vec![ApPlacement {
+            x_m: 50.0,
+            y_m: 50.0,
+            coverage_m: 65.0,
+            backhaul: None,
+        }],
+        clients: std::iter::once(walker).chain(parked).collect(),
+        duration: SimDuration::from_secs(30),
+        seed: 0xC047E17,
+        protocol: ProtocolSpec::named("HintAware"),
+        hints,
+        handoff: HandoffSpec {
+            policy: policy.to_string(),
+            ..HandoffSpec::default()
+        },
+        medium,
+        ..FleetSpec::default()
     }
-    b.into_spec()
 }
 
 /// The three configurations compared at each sweep point.

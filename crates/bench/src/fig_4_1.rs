@@ -7,7 +7,7 @@
 use crate::report::Report;
 use crate::rline;
 use hint_mac::BitRate;
-use hint_rateadapt::scenario::{EnvironmentSpec, MotionSpec, ScenarioBuilder};
+use hint_rateadapt::scenario::{EnvironmentSpec, MotionSpec, ScenarioSpec};
 use hint_sim::SimDuration;
 use hint_topology::delivery::per_second_delivery;
 use hint_topology::ProbeStream;
@@ -37,12 +37,15 @@ pub fn report() -> (Report, Fig41Result) {
     };
     let dur = motion.implied_duration().expect("self-sizing motion");
     let profile = motion.profile(dur);
-    let trace = ScenarioBuilder::new()
-        .environment(EnvironmentSpec::MeshEdge)
-        .motion_sized(motion)
-        .seed(41)
-        .build_trace()
-        .expect("valid Fig. 4-1 scenario");
+    let trace = ScenarioSpec {
+        environment: EnvironmentSpec::MeshEdge,
+        motion,
+        duration: dur,
+        seed: 41,
+        ..ScenarioSpec::default()
+    }
+    .trace()
+    .expect("valid Fig. 4-1 scenario");
     let stream = ProbeStream::from_trace(&trace, BitRate::R6, 41);
     let per_second = per_second_delivery(&stream);
     let moving: Vec<bool> = (0..per_second.len())

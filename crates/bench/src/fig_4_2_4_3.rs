@@ -9,7 +9,7 @@
 use crate::report::Report;
 use crate::rline;
 use hint_mac::BitRate;
-use hint_rateadapt::scenario::{EnvironmentSpec, MotionSpec, ScenarioBuilder};
+use hint_rateadapt::scenario::{EnvironmentSpec, MotionSpec, ScenarioSpec};
 use hint_sim::{OnlineStats, SimDuration};
 use hint_topology::delivery::estimate_error;
 use hint_topology::ProbeStream;
@@ -61,13 +61,15 @@ pub fn report(n_traces: u64) -> (Report, Fig4243Result) {
                     MotionSpec::Stationary
                 };
                 let base = if moving { 4300 } else { 4200 };
-                let trace = ScenarioBuilder::new()
-                    .environment(EnvironmentSpec::MeshEdge)
-                    .motion(motion)
-                    .duration(dur)
-                    .seed(base + seed)
-                    .build_trace()
-                    .expect("valid Fig. 4-2/4-3 scenario");
+                let trace = ScenarioSpec {
+                    environment: EnvironmentSpec::MeshEdge,
+                    motion,
+                    duration: dur,
+                    seed: base + seed,
+                    ..ScenarioSpec::default()
+                }
+                .trace()
+                .expect("valid Fig. 4-2/4-3 scenario");
                 ProbeStream::from_trace(&trace, BitRate::R6, seed)
             })
             .collect();

@@ -10,7 +10,7 @@
 use crate::report::Report;
 use crate::rline;
 use hint_mac::BitRate;
-use hint_rateadapt::scenario::{EnvironmentSpec, MotionSpec, ScenarioBuilder};
+use hint_rateadapt::scenario::{EnvironmentSpec, MotionSpec, ScenarioSpec};
 use hint_sim::{SimDuration, SimTime};
 use hint_topology::delivery::{actual_at, actual_series, held_tracking_error, observed_series};
 use hint_topology::ProbeStream;
@@ -50,13 +50,15 @@ pub fn report() -> (Report, (TraceTracking, TraceTracking)) {
         };
         // Representative traces (the paper likewise shows one
         // representative 25 s trace per regime).
-        let trace = ScenarioBuilder::new()
-            .environment(EnvironmentSpec::MeshEdge)
-            .motion(motion)
-            .duration(dur)
-            .seed(if moving { 4407 } else { 4402 })
-            .build_trace()
-            .expect("valid Fig. 4-4/4-5 scenario");
+        let trace = ScenarioSpec {
+            environment: EnvironmentSpec::MeshEdge,
+            motion,
+            duration: dur,
+            seed: if moving { 4407 } else { 4402 },
+            ..ScenarioSpec::default()
+        }
+        .trace()
+        .expect("valid Fig. 4-4/4-5 scenario");
         let stream = ProbeStream::from_trace(&trace, BitRate::R6, 7);
         let actual = actual_series(&stream);
 

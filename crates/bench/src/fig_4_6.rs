@@ -8,7 +8,7 @@
 use crate::report::Report;
 use crate::rline;
 use hint_mac::BitRate;
-use hint_rateadapt::scenario::{EnvironmentSpec, MotionSpec, Scenario, ScenarioBuilder};
+use hint_rateadapt::scenario::{EnvironmentSpec, HintSpec, MotionSpec, Scenario, ScenarioSpec};
 use hint_sim::{SimDuration, SimTime};
 use hint_topology::adaptive::{fixed_rate_run, AdaptiveProber};
 use hint_topology::delivery::{actual_series, held_tracking_error};
@@ -39,19 +39,26 @@ pub fn report() -> (Report, Fig46Result) {
     let step = SimDuration::from_millis(100);
     // Static 0-20 s, mobile 20-40 s, static 40-60 s, on the mesh-edge
     // link; hints ride the sensor pipeline with the historical seed.
-    // `motion_sized` derives the 60 s duration from the segments.
+    let motion = MotionSpec::StaticMoveStatic {
+        lead: SimDuration::from_secs(20),
+        moving: SimDuration::from_secs(20),
+        tail: SimDuration::from_secs(20),
+    };
+    // The 60 s duration comes from the segments.
+    let duration = motion.implied_duration().expect("self-sizing motion");
     let scenario_for = |seed: u64| -> Scenario {
-        ScenarioBuilder::new()
-            .environment(EnvironmentSpec::MeshEdge)
-            .motion_sized(MotionSpec::StaticMoveStatic {
-                lead: SimDuration::from_secs(20),
-                moving: SimDuration::from_secs(20),
-                tail: SimDuration::from_secs(20),
-            })
-            .seed(seed)
-            .sensor_hints_seeded(seed ^ 0x4646)
-            .build()
-            .expect("valid Fig. 4-6 scenario")
+        ScenarioSpec {
+            environment: EnvironmentSpec::MeshEdge,
+            motion: motion.clone(),
+            duration,
+            seed,
+            hints: HintSpec::Sensors {
+                seed: Some(seed ^ 0x4646),
+            },
+            ..ScenarioSpec::default()
+        }
+        .compile()
+        .expect("valid Fig. 4-6 scenario")
     };
 
     // Aggregate errors over several traces.

@@ -21,7 +21,7 @@
 use crate::report::Report;
 use crate::rline;
 use hint_rateadapt::protocols::ProtocolKind;
-use hint_rateadapt::scenario::{MotionSpec, ProtocolSpec, ScenarioBuilder, ScenarioSpec};
+use hint_rateadapt::scenario::{HintSpec, MotionSpec, ProtocolSpec, ScenarioSpec};
 use hint_rateadapt::trace::PacketTrace;
 use hint_rateadapt::Workload;
 use hint_sim::SimDuration;
@@ -33,14 +33,15 @@ pub const TRACE_SEED: u64 = 90;
 /// half static / half walking, 10 s, saturated UDP under RapidSample
 /// with sensor hints.
 pub fn recording_scenario_spec() -> ScenarioSpec {
-    ScenarioBuilder::new()
-        .motion(MotionSpec::HalfAndHalf { static_first: true })
-        .duration(SimDuration::from_secs(10))
-        .seed(TRACE_SEED)
-        .workload(Workload::Udp)
-        .protocol("RapidSample")
-        .sensor_hints()
-        .into_spec()
+    ScenarioSpec {
+        motion: MotionSpec::HalfAndHalf { static_first: true },
+        duration: SimDuration::from_secs(10),
+        seed: TRACE_SEED,
+        workload: Workload::Udp,
+        protocol: ProtocolSpec::named("RapidSample"),
+        hints: HintSpec::Sensors { seed: None },
+        ..ScenarioSpec::default()
+    }
 }
 
 /// Record the delivered-packet trace of [`recording_scenario_spec`]

@@ -52,7 +52,7 @@ fn single_link_outcome(spec: &str) -> String {
 /// The generator point the checked-in contended spec pins: 4 clients
 /// (one departing walker + three parked) on one AP, shared medium,
 /// hint-aware handoff, sensor hints.
-fn builder_fleet() -> FleetSpec {
+fn generated_fleet() -> FleetSpec {
     contended_office_fleet(
         4,
         "hint-aware",
@@ -76,7 +76,7 @@ fn checked_in_spec() -> FleetSpec {
 #[test]
 #[ignore = "writes the contended spec and the golden outcome files"]
 fn regenerate_goldens() {
-    builder_fleet()
+    generated_fleet()
         .save(&repo_path("scenarios/fleet_contended_office.json"))
         .expect("spec written");
     std::fs::write(
@@ -119,10 +119,10 @@ fn regenerate_goldens() {
 /// The checked-in contended spec IS the generator point `fig_contention`
 /// sweeps at n = 4.
 #[test]
-fn checked_in_contended_spec_matches_builder_fleet() {
+fn checked_in_contended_spec_matches_its_generator() {
     assert_eq!(
         checked_in_spec(),
-        builder_fleet(),
+        generated_fleet(),
         "spec file drifted from the generator; if intentional, rerun the ignored \
          regenerate_goldens test"
     );

@@ -6,6 +6,7 @@
 //! text format without drift.
 
 use hint_bench::trace_replay::{recorded_trace, recording_scenario_spec, replay_scenario_spec};
+use hint_rateadapt::fleet::{ApPlacement, FleetClientSpec, FleetSpec, HandoffSpec};
 use hint_rateadapt::scenario::{MotionSpec, ScenarioSpec};
 use hint_rateadapt::trace::PacketTrace;
 use hint_rateadapt::Workload;
@@ -61,7 +62,7 @@ fn checked_in_trace_is_the_recorded_trace() {
     assert_eq!(parsed, recorded_trace());
 }
 
-/// Builder-vs-file: running the checked-in replay spec (trace loaded
+/// Spec-vs-file: running the checked-in replay spec (trace loaded
 /// from the checked-in file) is byte-identical to replaying the
 /// in-process recording inline — the file round-trip adds nothing and
 /// loses nothing.
@@ -128,24 +129,39 @@ fn checked_in_replay_matches_golden_outcome() {
 /// of the trace is deterministic and merge-order-free).
 #[test]
 fn fleet_trace_client_byte_identical_across_jobs() {
-    let spec = hint_rateadapt::fleet::FleetSpec::builder()
-        .bounds(200.0, 100.0)
-        .ap(40.0, 50.0, 65.0)
-        .ap(160.0, 50.0, 65.0)
-        .client(
-            30.0,
-            50.0,
-            MotionSpec::Walking {
-                speed_mps: 1.4,
-                heading_deg: 90.0,
+    let ap = |x_m| ApPlacement {
+        x_m,
+        y_m: 50.0,
+        coverage_m: 65.0,
+        backhaul: None,
+    };
+    let spec = FleetSpec {
+        aps: vec![ap(40.0), ap(160.0)],
+        clients: vec![
+            FleetClientSpec {
+                start_x_m: 30.0,
+                start_y_m: 50.0,
+                motion: MotionSpec::Walking {
+                    speed_mps: 1.4,
+                    heading_deg: 90.0,
+                },
+                workload: Workload::trace(recorded_trace()),
             },
-            Workload::trace(recorded_trace()),
-        )
-        .client(150.0, 50.0, MotionSpec::Stationary, Workload::Udp)
-        .duration(recording_scenario_spec().duration)
-        .seed(17)
-        .handoff_policy("hint-aware")
-        .into_spec();
+            FleetClientSpec {
+                start_x_m: 150.0,
+                start_y_m: 50.0,
+                motion: MotionSpec::Stationary,
+                workload: Workload::Udp,
+            },
+        ],
+        duration: recording_scenario_spec().duration,
+        seed: 17,
+        handoff: HandoffSpec {
+            policy: "hint-aware".into(),
+            ..HandoffSpec::default()
+        },
+        ..FleetSpec::default()
+    };
     let fleet = FleetScenario::compile(&spec).expect("valid trace-client fleet");
     let serial = fleet.run_with_jobs(1).to_json_pretty();
     let sharded = fleet.run_with_jobs(4).to_json_pretty();

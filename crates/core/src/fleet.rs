@@ -239,9 +239,10 @@ struct ResolvedFaults {
     /// Whether hint policies fall back to RSSI once a dropout goes
     /// stale (`false` is the naive hint-trusting ablation).
     hint_fallback: bool,
-    /// Whether any window exists at all. `false` takes the exact
-    /// pre-fault code paths, so a fault-free `FaultSpec` run is
-    /// byte-identical to a run with no `FaultSpec` present.
+    /// Whether any window exists at all. It gates only the dark-client
+    /// scan backoff: a fault-free run keeps the fixed scan cadence of
+    /// the pre-fault engine, so its outcome stays byte-identical. Every
+    /// other fault path reduces to the fault-free one on empty windows.
     active: bool,
 }
 
@@ -701,7 +702,7 @@ impl FleetScenario {
         work.scan_aps += ids.len() as u64;
         out.clear();
         out.extend(ids.iter().filter_map(|&id| {
-            if self.faults.active && self.faults.ap_down(id, now) {
+            if self.faults.ap_down(id, now) {
                 return None;
             }
             let ap = &self.spec.aps[id];
@@ -770,27 +771,24 @@ impl FleetScenario {
             .exchange_airtime(BitRate::R6, self.spec.payload_bytes)
             .as_secs_f64();
 
-        let has_faults = self.faults.active;
         let mut queue: EventQueue<FleetEvent> = EventQueue::new();
         for c in 0..n_clients {
             queue.schedule(SimTime::ZERO, FleetEvent::Scan(c));
         }
-        if has_faults {
-            // Window *starts* become events (evictions and radio deaths
-            // must interrupt associations mid-span); recoveries matter
-            // only to the affected client's own scan chain. Every window
-            // start precedes the run end by validation + clipping.
-            for (a, wins) in self.faults.ap_down.iter().enumerate() {
-                for &(s, _) in wins {
-                    queue.schedule(s, FleetEvent::ApDown(a));
-                }
+        // Window *starts* become events (evictions and radio deaths must
+        // interrupt associations mid-span); recoveries matter only to the
+        // affected client's own scan chain. Every window start precedes
+        // the run end by validation + clipping.
+        for (a, wins) in self.faults.ap_down.iter().enumerate() {
+            for &(s, _) in wins {
+                queue.schedule(s, FleetEvent::ApDown(a));
             }
-            for (c, wins) in self.faults.blackout.iter().enumerate() {
-                for &(s, e) in wins {
-                    queue.schedule(s, FleetEvent::BlackoutStart(c));
-                    if e < end {
-                        queue.schedule(e, FleetEvent::BlackoutEnd(c));
-                    }
+        }
+        for (c, wins) in self.faults.blackout.iter().enumerate() {
+            for &(s, e) in wins {
+                queue.schedule(s, FleetEvent::BlackoutStart(c));
+                if e < end {
+                    queue.schedule(e, FleetEvent::BlackoutEnd(c));
                 }
             }
         }
@@ -855,12 +853,10 @@ impl FleetScenario {
                     continue;
                 }
             };
-            if has_faults {
-                // Drop stale scan-chain events (fault handling moved the
-                // chain) and scans that land inside a radio blackout.
-                if now != runs[c].next_scan || self.faults.blacked_out(c, now) {
-                    continue;
-                }
+            // Drop stale scan-chain events (fault handling moved the
+            // chain) and scans that land inside a radio blackout.
+            if now != runs[c].next_scan || self.faults.blacked_out(c, now) {
+                continue;
             }
             let was_dark = runs[c].current.is_none();
             let pos = self.paths[c].position_at(now);
@@ -870,11 +866,7 @@ impl FleetScenario {
             // stale hold is down — the client stops claiming hints and
             // (the graceful-degradation headline) hint-aware policies
             // fall back to legacy RSSI scoring until it recovers.
-            let health = if has_faults {
-                self.faults.hint_health(c, now)
-            } else {
-                HintHealth::Fresh
-            };
+            let health = self.faults.hint_health(c, now);
             let (moving, hints_down) = match (&self.hints[c], &health) {
                 (None, _) => (false, false),
                 (Some(h), HintHealth::Fresh) => (h.query(now), false),
@@ -965,7 +957,7 @@ impl FleetScenario {
             // cadence (byte-identical to the pre-fault engine);
             // fault-injected runs back off exponentially while a client
             // stays dark, up to the capped retry interval.
-            let interval = if has_faults {
+            let interval = if self.faults.active {
                 let run = &mut runs[c];
                 if run.current.is_none() {
                     if was_dark {
@@ -1293,7 +1285,7 @@ impl FleetScenario {
         task: &SpanTask,
         epoch_shares: &EpochShares,
         work: &mut FleetWork,
-    ) -> LinkSimulator<'static> {
+    ) -> LinkSimulator {
         let &SpanTask {
             client: c,
             span_idx: k,
@@ -1394,40 +1386,64 @@ impl FleetScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hint_rateadapt::fleet::{ApOutage, FaultSpec, HintDropout, MediumSpec, RadioBlackout};
+    use hint_rateadapt::fleet::{
+        ApOutage, ApPlacement, FaultSpec, FleetBounds, FleetClientSpec, HandoffSpec, HintDropout,
+        MediumSpec, RadioBlackout,
+    };
     use hint_rateadapt::scenario::MotionSpec;
     use hint_rateadapt::Workload;
+
+    fn ap(x_m: f64, y_m: f64, coverage_m: f64) -> ApPlacement {
+        ApPlacement {
+            x_m,
+            y_m,
+            coverage_m,
+            backhaul: None,
+        }
+    }
+
+    /// A saturated-UDP client starting at `(x, y)`.
+    fn client(start_x_m: f64, start_y_m: f64, motion: MotionSpec) -> FleetClientSpec {
+        FleetClientSpec {
+            start_x_m,
+            start_y_m,
+            motion,
+            workload: Workload::Udp,
+        }
+    }
+
+    fn bounds(width_m: f64, height_m: f64) -> FleetBounds {
+        FleetBounds { width_m, height_m }
+    }
+
+    /// The default handoff cadence under the named policy.
+    fn handoff(policy: &str) -> HandoffSpec {
+        HandoffSpec {
+            policy: policy.to_string(),
+            ..HandoffSpec::default()
+        }
+    }
 
     /// Two APs 120 m apart with 70 m coverage; two walkers crossing the
     /// floor east/west, one static client parked near AP 0.
     fn crossing_fleet(policy: &str) -> FleetSpec {
-        FleetSpec::builder()
-            .bounds(200.0, 100.0)
-            .ap(40.0, 50.0, 70.0)
-            .ap(160.0, 50.0, 70.0)
-            .client(
-                5.0,
-                50.0,
-                MotionSpec::Walking {
-                    speed_mps: 1.6,
-                    heading_deg: 90.0,
-                },
-                Workload::Udp,
-            )
-            .client(
-                195.0,
-                50.0,
-                MotionSpec::Walking {
-                    speed_mps: 1.6,
-                    heading_deg: 270.0,
-                },
-                Workload::Udp,
-            )
-            .client(30.0, 40.0, MotionSpec::Stationary, Workload::Udp)
-            .duration(SimDuration::from_secs(90))
-            .seed(0xF1EE7)
-            .handoff_policy(policy)
-            .into_spec()
+        let walker = |heading_deg| MotionSpec::Walking {
+            speed_mps: 1.6,
+            heading_deg,
+        };
+        FleetSpec {
+            bounds: bounds(200.0, 100.0),
+            aps: vec![ap(40.0, 50.0, 70.0), ap(160.0, 50.0, 70.0)],
+            clients: vec![
+                client(5.0, 50.0, walker(90.0)),
+                client(195.0, 50.0, walker(270.0)),
+                client(30.0, 40.0, MotionSpec::Stationary),
+            ],
+            duration: SimDuration::from_secs(90),
+            seed: 0xF1EE7,
+            handoff: handoff(policy),
+            ..FleetSpec::default()
+        }
     }
 
     /// Every span's simulator reads the client's one compiled hint
@@ -1615,10 +1631,10 @@ mod tests {
         // One AP, one walker that leaves coverage and walks back in: the
         // outage is real, but no AP-to-AP handoff ever happens, and the
         // AP arrival counter must agree.
-        let spec = FleetSpec::builder()
-            .bounds(300.0, 100.0)
-            .ap(40.0, 50.0, 60.0)
-            .client(
+        let spec = FleetSpec {
+            bounds: bounds(300.0, 100.0),
+            aps: vec![ap(40.0, 50.0, 60.0)],
+            clients: vec![client(
                 40.0,
                 50.0,
                 MotionSpec::Custom(vec![
@@ -1635,12 +1651,12 @@ mod tests {
                         heading_deg: 270.0,
                     },
                 ]),
-                Workload::Udp,
-            )
-            .duration(SimDuration::from_secs(20))
-            .seed(3)
-            .handoff_policy("strongest-signal")
-            .into_spec();
+            )],
+            duration: SimDuration::from_secs(20),
+            seed: 3,
+            handoff: handoff("strongest-signal"),
+            ..FleetSpec::default()
+        };
         let out = FleetScenario::compile(&spec).expect("valid").run();
         let c = &out.clients[0];
         assert_eq!(c.aps_visited, vec![0], "left and rejoined the same AP");
@@ -1660,24 +1676,27 @@ mod tests {
     /// `n` stationary clients parked at staggered distances around one
     /// AP — the canonical contention geometry.
     fn parked_fleet(n: usize, medium: MediumSpec) -> FleetSpec {
-        let mut b = FleetSpec::builder()
-            .bounds(140.0, 100.0)
-            .ap(70.0, 50.0, 65.0)
-            .duration(SimDuration::from_secs(12))
-            .seed(0xC0117E57)
-            .handoff_policy("strongest-signal")
-            .medium(medium);
-        for i in 0..n {
-            let angle = i as f64 * 2.399; // golden angle: spread, no overlap
-            let r = 8.0 + 3.0 * i as f64;
-            b = b.client(
-                70.0 + r * angle.cos(),
-                50.0 + r * angle.sin(),
-                MotionSpec::Stationary,
-                Workload::Udp,
-            );
+        let clients = (0..n)
+            .map(|i| {
+                let angle = i as f64 * 2.399; // golden angle: spread, no overlap
+                let r = 8.0 + 3.0 * i as f64;
+                client(
+                    70.0 + r * angle.cos(),
+                    50.0 + r * angle.sin(),
+                    MotionSpec::Stationary,
+                )
+            })
+            .collect();
+        FleetSpec {
+            bounds: bounds(140.0, 100.0),
+            aps: vec![ap(70.0, 50.0, 65.0)],
+            clients,
+            duration: SimDuration::from_secs(12),
+            seed: 0xC0117E57,
+            handoff: handoff("strongest-signal"),
+            medium,
+            ..FleetSpec::default()
         }
-        b.into_spec()
     }
 
     #[test]
@@ -1777,16 +1796,19 @@ mod tests {
         // associates, moves no traffic, and must not poison any statistic
         // with NaN — under either medium model.
         for medium in [MediumSpec::isolated(), MediumSpec::shared()] {
-            let spec = FleetSpec::builder()
-                .bounds(400.0, 100.0)
-                .ap(40.0, 50.0, 50.0)
-                .client(30.0, 50.0, MotionSpec::Stationary, Workload::Udp)
-                .client(390.0, 50.0, MotionSpec::Stationary, Workload::Udp)
-                .duration(SimDuration::from_secs(10))
-                .seed(5)
-                .handoff_policy("strongest-signal")
-                .medium(medium)
-                .into_spec();
+            let spec = FleetSpec {
+                bounds: bounds(400.0, 100.0),
+                aps: vec![ap(40.0, 50.0, 50.0)],
+                clients: vec![
+                    client(30.0, 50.0, MotionSpec::Stationary),
+                    client(390.0, 50.0, MotionSpec::Stationary),
+                ],
+                duration: SimDuration::from_secs(10),
+                seed: 5,
+                handoff: handoff("strongest-signal"),
+                medium,
+                ..FleetSpec::default()
+            };
             let out = FleetScenario::compile(&spec).expect("valid").run();
             let dark = &out.clients[1];
             assert!(dark.aps_visited.is_empty());

@@ -11,8 +11,7 @@
 //!
 //! This module owns the plain-data layer only: the spec types, their
 //! validation (every malformed fleet fails with an actionable
-//! [`ScenarioError`]), the [`FleetBuilder`], and the [`FleetOutcome`]
-//! result types. The engine that compiles and runs a fleet lives in the
+//! [`ScenarioError`]), and the [`FleetOutcome`] result types. The engine that compiles and runs a fleet lives in the
 //! `sensor-hints` crate (`sensor_hints::fleet`), because it drives the
 //! AP association/disassociation policies (`hint-ap`) and the spatial AP
 //! index (`hint-topology`) that sit above this crate in the dependency
@@ -504,29 +503,30 @@ pub fn normalize_windows(mut windows: Vec<(SimTime, SimTime)>) -> Vec<(SimTime, 
 /// experiment. Durations serialize as integer microseconds, like every
 /// scenario field (schema: EXPERIMENTS.md, "Fleet spec files").
 ///
-/// Build one with [`FleetSpec::builder`]; the spec is the whole
-/// experiment, so an equal spec replays an identical outcome:
+/// Write one as a struct literal over `..FleetSpec::default()` (which has
+/// no APs or clients, so it does not validate on its own); the spec is
+/// the whole experiment, so an equal spec replays an identical outcome:
 ///
 /// ```
-/// use hint_rateadapt::fleet::FleetSpec;
+/// use hint_rateadapt::fleet::{ApPlacement, FleetClientSpec, FleetSpec, HandoffSpec};
 /// use hint_rateadapt::scenario::MotionSpec;
 /// use hint_rateadapt::Workload;
 /// use hint_sim::SimDuration;
 ///
-/// let spec = FleetSpec::builder()
-///     .bounds(200.0, 100.0)
-///     .ap(40.0, 50.0, 70.0)
-///     .ap(160.0, 50.0, 70.0)
-///     .client(
-///         5.0,
-///         50.0,
-///         MotionSpec::Walking { speed_mps: 1.5, heading_deg: 90.0 },
-///         Workload::Udp,
-///     )
-///     .duration(SimDuration::from_secs(30))
-///     .seed(7)
-///     .handoff_policy("hint-aware")
-///     .into_spec();
+/// let ap = |x_m| ApPlacement { x_m, y_m: 50.0, coverage_m: 70.0, backhaul: None };
+/// let spec = FleetSpec {
+///     aps: vec![ap(40.0), ap(160.0)],
+///     clients: vec![FleetClientSpec {
+///         start_x_m: 5.0,
+///         start_y_m: 50.0,
+///         motion: MotionSpec::Walking { speed_mps: 1.5, heading_deg: 90.0 },
+///         workload: Workload::Udp,
+///     }],
+///     duration: SimDuration::from_secs(30),
+///     seed: 7,
+///     handoff: HandoffSpec { policy: "hint-aware".into(), ..HandoffSpec::default() },
+///     ..FleetSpec::default()
+/// };
 /// spec.validate().expect("a well-formed fleet");
 /// // The JSON form round-trips exactly — spec files ARE the experiment.
 /// let reparsed = FleetSpec::from_json(&spec.to_json_pretty()).unwrap();
@@ -572,6 +572,10 @@ pub struct FleetSpec {
     pub payload_bytes: u32,
 }
 
+/// Office environment, 200 × 100 m bounds, 30 s, seed 0, fleet-wide
+/// sensor hints, RapidSample, strongest-signal handoff with a 1 s scan
+/// and 3-unit hysteresis, isolated medium, no faults, 1000-byte payload
+/// — and **no APs or clients**, which [`FleetSpec::validate`] rejects.
 impl Default for FleetSpec {
     fn default() -> Self {
         FleetSpec {
@@ -607,11 +611,6 @@ pub struct ResolvedFleet {
 }
 
 impl FleetSpec {
-    /// Start a builder with the default spec (no APs or clients yet).
-    pub fn builder() -> FleetBuilder {
-        FleetBuilder::default()
-    }
-
     /// Validate, returning the named choices the spec resolves to.
     pub fn validate(&self) -> Result<ResolvedFleet, ScenarioError> {
         let bad = |msg: String| Err(ScenarioError::BadFleet(msg));
@@ -778,166 +777,6 @@ impl FleetSpec {
             }
         }
         Ok(spec)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Builder
-// ---------------------------------------------------------------------------
-
-/// Validating fluent construction of [`FleetSpec`]s, mirroring
-/// [`crate::scenario::ScenarioBuilder`].
-///
-/// Defaults: office environment, 200 × 100 m bounds, 30 s, seed 0,
-/// fleet-wide sensor hints, RapidSample, strongest-signal handoff with a
-/// 1 s scan and 3-unit hysteresis, 1000-byte payload — and **no APs or
-/// clients**, which [`FleetBuilder::validate`] rejects until both are
-/// added.
-#[derive(Clone, Debug, Default)]
-pub struct FleetBuilder {
-    spec: FleetSpec,
-}
-
-impl FleetBuilder {
-    /// A builder holding the default spec.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Select the channel environment.
-    pub fn environment(mut self, env: EnvironmentSpec) -> Self {
-        self.spec.environment = env;
-        self
-    }
-
-    /// Set the floor-plan bounds, metres.
-    pub fn bounds(mut self, width_m: f64, height_m: f64) -> Self {
-        self.spec.bounds = FleetBounds { width_m, height_m };
-        self
-    }
-
-    /// Add an AP at `(x, y)` with the given coverage radius, metres.
-    pub fn ap(mut self, x_m: f64, y_m: f64, coverage_m: f64) -> Self {
-        self.spec.aps.push(ApPlacement {
-            x_m,
-            y_m,
-            coverage_m,
-            backhaul: None,
-        });
-        self
-    }
-
-    /// Add an AP at `(x, y)` with the given coverage radius and a wired
-    /// backhaul behind it.
-    pub fn ap_with_backhaul(
-        mut self,
-        x_m: f64,
-        y_m: f64,
-        coverage_m: f64,
-        backhaul: BackhaulSpec,
-    ) -> Self {
-        self.spec.aps.push(ApPlacement {
-            x_m,
-            y_m,
-            coverage_m,
-            backhaul: Some(backhaul),
-        });
-        self
-    }
-
-    /// Add a client starting at `(x, y)` with its motion and workload.
-    pub fn client(mut self, x_m: f64, y_m: f64, motion: MotionSpec, workload: Workload) -> Self {
-        self.spec.clients.push(FleetClientSpec {
-            start_x_m: x_m,
-            start_y_m: y_m,
-            motion,
-            workload,
-        });
-        self
-    }
-
-    /// Set the run duration.
-    pub fn duration(mut self, duration: SimDuration) -> Self {
-        self.spec.duration = duration;
-        self
-    }
-
-    /// Set the root seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.spec.seed = seed;
-        self
-    }
-
-    /// Select the fleet-wide protocol by name.
-    pub fn protocol(mut self, name: impl Into<String>) -> Self {
-        self.spec.protocol = ProtocolSpec::named(name);
-        self
-    }
-
-    /// Select the fleet-wide hint feed.
-    pub fn hints(mut self, hints: HintSpec) -> Self {
-        self.spec.hints = hints;
-        self
-    }
-
-    /// Select the handoff policy by name (see [`HANDOFF_POLICY_NAMES`]).
-    pub fn handoff_policy(mut self, name: impl Into<String>) -> Self {
-        self.spec.handoff.policy = name.into();
-        self
-    }
-
-    /// Override the handoff scan interval.
-    pub fn scan_interval(mut self, interval: SimDuration) -> Self {
-        self.spec.handoff.scan_interval = interval;
-        self
-    }
-
-    /// Override the handoff hysteresis margin.
-    pub fn hysteresis(mut self, margin: f64) -> Self {
-        self.spec.handoff.hysteresis = margin;
-        self
-    }
-
-    /// Override the per-handoff reassociation cost.
-    pub fn reassociation_cost(mut self, cost: SimDuration) -> Self {
-        self.spec.handoff.reassociation_cost = cost;
-        self
-    }
-
-    /// Select the shared-medium model (see [`MediumSpec`]); the default
-    /// is [`MediumSpec::isolated`].
-    pub fn medium(mut self, medium: MediumSpec) -> Self {
-        self.spec.medium = medium;
-        self
-    }
-
-    /// Select the fault schedule (see [`FaultSpec`]); the default is
-    /// fault-free.
-    pub fn faults(mut self, faults: FaultSpec) -> Self {
-        self.spec.faults = faults;
-        self
-    }
-
-    /// Override the link payload size.
-    pub fn payload_bytes(mut self, bytes: u32) -> Self {
-        self.spec.payload_bytes = bytes;
-        self
-    }
-
-    /// The spec built so far (not yet validated).
-    pub fn spec(&self) -> &FleetSpec {
-        &self.spec
-    }
-
-    /// Consume the builder, returning the spec (not yet validated).
-    pub fn into_spec(self) -> FleetSpec {
-        self.spec
-    }
-
-    /// Validate and return the spec.
-    pub fn validate(self) -> Result<FleetSpec, ScenarioError> {
-        self.spec.validate()?;
-        Ok(self.spec)
     }
 }
 
@@ -1124,21 +963,53 @@ mod tests {
     use super::*;
     use serde::Value;
 
-    fn walking_fleet() -> FleetBuilder {
-        FleetSpec::builder()
-            .bounds(200.0, 100.0)
-            .ap(40.0, 50.0, 70.0)
-            .ap(160.0, 50.0, 70.0)
-            .client(
+    fn ap(x_m: f64, y_m: f64, coverage_m: f64) -> ApPlacement {
+        ApPlacement {
+            x_m,
+            y_m,
+            coverage_m,
+            backhaul: None,
+        }
+    }
+
+    fn client(start_x_m: f64, start_y_m: f64, motion: MotionSpec) -> FleetClientSpec {
+        FleetClientSpec {
+            start_x_m,
+            start_y_m,
+            motion,
+            workload: Workload::Udp,
+        }
+    }
+
+    fn walking_fleet() -> FleetSpec {
+        FleetSpec {
+            aps: vec![ap(40.0, 50.0, 70.0), ap(160.0, 50.0, 70.0)],
+            clients: vec![client(
                 10.0,
                 50.0,
                 MotionSpec::Walking {
                     speed_mps: 1.4,
                     heading_deg: 90.0,
                 },
-                Workload::Udp,
-            )
-            .duration(SimDuration::from_secs(20))
+            )],
+            duration: SimDuration::from_secs(20),
+            ..FleetSpec::default()
+        }
+    }
+
+    /// The walking fleet with one more client.
+    fn with_client(client: FleetClientSpec) -> FleetSpec {
+        let mut spec = walking_fleet();
+        spec.clients.push(client);
+        spec
+    }
+
+    /// The walking fleet with `faults`.
+    fn with_faults(faults: FaultSpec) -> FleetSpec {
+        FleetSpec {
+            faults,
+            ..walking_fleet()
+        }
     }
 
     /// Keys of a serialized object, in the order they will be printed.
@@ -1301,7 +1172,7 @@ mod tests {
 
     #[test]
     fn valid_fleet_validates_and_round_trips() {
-        let spec = walking_fleet().validate().expect("valid fleet");
+        let spec = walking_fleet();
         let resolved = spec.validate().expect("valid fleet");
         assert_eq!(resolved.policy, HandoffPolicy::StrongestSignal);
         assert_eq!(resolved.protocol, ProtocolKind::RapidSample);
@@ -1311,10 +1182,12 @@ mod tests {
 
     #[test]
     fn zero_clients_is_actionable() {
-        let err = FleetSpec::builder()
-            .ap(40.0, 50.0, 70.0)
-            .validate()
-            .unwrap_err();
+        let err = FleetSpec {
+            aps: vec![ap(40.0, 50.0, 70.0)],
+            ..FleetSpec::default()
+        }
+        .validate()
+        .unwrap_err();
         let msg = err.to_string();
         assert!(
             msg.contains("at least one client"),
@@ -1324,19 +1197,26 @@ mod tests {
 
     #[test]
     fn zero_aps_is_actionable() {
-        let err = FleetSpec::builder()
-            .client(10.0, 50.0, MotionSpec::Stationary, Workload::Udp)
-            .validate()
-            .unwrap_err();
+        let err = FleetSpec {
+            clients: vec![client(10.0, 50.0, MotionSpec::Stationary)],
+            ..FleetSpec::default()
+        }
+        .validate()
+        .unwrap_err();
         assert!(err.to_string().contains("at least one AP"));
     }
 
     #[test]
     fn unknown_handoff_policy_lists_known_names() {
-        let err = walking_fleet()
-            .handoff_policy("teleport")
-            .validate()
-            .unwrap_err();
+        let err = FleetSpec {
+            handoff: HandoffSpec {
+                policy: "teleport".into(),
+                ..HandoffSpec::default()
+            },
+            ..walking_fleet()
+        }
+        .validate()
+        .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("teleport"), "{msg}");
         for name in HANDOFF_POLICY_NAMES {
@@ -1346,10 +1226,9 @@ mod tests {
 
     #[test]
     fn ap_outside_bounds_names_the_ap_and_bounds() {
-        let err = walking_fleet()
-            .ap(250.0, 50.0, 70.0)
-            .validate()
-            .unwrap_err();
+        let mut spec = walking_fleet();
+        spec.aps.push(ap(250.0, 50.0, 70.0));
+        let err = spec.validate().unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("AP 2"), "{msg}");
         assert!(msg.contains("outside the environment bounds"), "{msg}");
@@ -1358,8 +1237,7 @@ mod tests {
 
     #[test]
     fn client_outside_bounds_rejected() {
-        let err = walking_fleet()
-            .client(10.0, 500.0, MotionSpec::Stationary, Workload::Udp)
+        let err = with_client(client(10.0, 500.0, MotionSpec::Stationary))
             .validate()
             .unwrap_err();
         assert!(err.to_string().contains("client 1"));
@@ -1367,18 +1245,16 @@ mod tests {
 
     #[test]
     fn client_motion_errors_carry_the_client_index() {
-        let err = walking_fleet()
-            .client(
-                10.0,
-                50.0,
-                MotionSpec::Walking {
-                    speed_mps: -2.0,
-                    heading_deg: 0.0,
-                },
-                Workload::Udp,
-            )
-            .validate()
-            .unwrap_err();
+        let err = with_client(client(
+            10.0,
+            50.0,
+            MotionSpec::Walking {
+                speed_mps: -2.0,
+                heading_deg: 0.0,
+            },
+        ))
+        .validate()
+        .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("client 1"), "{msg}");
         assert!(msg.contains("speed"), "{msg}");
@@ -1391,15 +1267,12 @@ mod tests {
             link_attempts: 0,
             ..TcpConfig::default()
         };
-        let err = walking_fleet()
-            .client(
-                10.0,
-                50.0,
-                MotionSpec::Stationary,
-                Workload::Tcp(degenerate),
-            )
-            .validate()
-            .unwrap_err();
+        let err = with_client(FleetClientSpec {
+            workload: Workload::Tcp(degenerate),
+            ..client(10.0, 50.0, MotionSpec::Stationary)
+        })
+        .validate()
+        .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("invalid workload"), "{msg}");
         assert!(msg.contains("client 1"), "{msg}");
@@ -1408,30 +1281,48 @@ mod tests {
 
     #[test]
     fn handoff_cadence_is_validated() {
-        let zero_scan = walking_fleet().scan_interval(SimDuration::ZERO);
+        let with_handoff = |handoff| FleetSpec {
+            handoff,
+            ..walking_fleet()
+        };
+        let zero_scan = with_handoff(HandoffSpec {
+            scan_interval: SimDuration::ZERO,
+            ..HandoffSpec::default()
+        });
         assert!(zero_scan.validate().is_err());
-        let slow_scan = walking_fleet().scan_interval(SimDuration::from_secs(60));
+        let slow_scan = with_handoff(HandoffSpec {
+            scan_interval: SimDuration::from_secs(60),
+            ..HandoffSpec::default()
+        });
         assert!(slow_scan
             .validate()
             .unwrap_err()
             .to_string()
             .contains("exceeds the fleet duration"));
-        let costly = walking_fleet().reassociation_cost(SimDuration::from_secs(2));
+        let costly = with_handoff(HandoffSpec {
+            reassociation_cost: SimDuration::from_secs(2),
+            ..HandoffSpec::default()
+        });
         assert!(costly
             .validate()
             .unwrap_err()
             .to_string()
             .contains("reassociation cost"));
-        let nan_hyst = walking_fleet().hysteresis(f64::NAN);
+        let nan_hyst = with_handoff(HandoffSpec {
+            hysteresis: f64::NAN,
+            ..HandoffSpec::default()
+        });
         assert!(nan_hyst.validate().is_err());
     }
 
     #[test]
     fn unknown_protocol_flows_through_fleet_validation() {
-        let err = walking_fleet()
-            .protocol("warpdrive")
-            .validate()
-            .unwrap_err();
+        let err = FleetSpec {
+            protocol: ProtocolSpec::named("warpdrive"),
+            ..walking_fleet()
+        }
+        .validate()
+        .unwrap_err();
         assert!(matches!(
             err,
             ScenarioError::UnknownProtocol { ref name, .. } if name == "warpdrive"
@@ -1490,7 +1381,7 @@ mod tests {
 
     #[test]
     fn medium_defaults_to_isolated_and_round_trips() {
-        let spec = walking_fleet().validate().expect("valid fleet");
+        let spec = walking_fleet();
         let resolved = spec.validate().expect("valid fleet");
         assert_eq!(resolved.contention, ContentionMode::Isolated);
         // The default medium is skipped in JSON, so pre-contention spec
@@ -1505,10 +1396,10 @@ mod tests {
 
     #[test]
     fn shared_medium_round_trips() {
-        let spec = walking_fleet()
-            .medium(MediumSpec::shared())
-            .validate()
-            .expect("valid shared fleet");
+        let spec = FleetSpec {
+            medium: MediumSpec::shared(),
+            ..walking_fleet()
+        };
         let resolved = spec.validate().expect("valid shared fleet");
         assert_eq!(resolved.contention, ContentionMode::Shared);
         let json = spec.to_json();
@@ -1521,9 +1412,12 @@ mod tests {
 
     #[test]
     fn malformed_medium_is_actionable() {
-        let unknown = walking_fleet().medium(MediumSpec {
-            contention: "psychic".into(),
-        });
+        let unknown = FleetSpec {
+            medium: MediumSpec {
+                contention: "psychic".into(),
+            },
+            ..walking_fleet()
+        };
         let msg = unknown.validate().unwrap_err().to_string();
         assert!(msg.contains("psychic"), "{msg}");
         for name in CONTENTION_MODE_NAMES {
@@ -1541,7 +1435,8 @@ mod tests {
 
     #[test]
     fn faults_default_to_empty_and_are_skipped_in_json() {
-        let spec = walking_fleet().validate().expect("valid fleet");
+        let spec = walking_fleet();
+        spec.validate().expect("valid fleet");
         assert!(spec.faults.is_default());
         let json = spec.to_json_pretty();
         assert!(!json.contains("faults"), "default faults must be skipped");
@@ -1561,10 +1456,8 @@ mod tests {
             }],
             ..FaultSpec::default()
         };
-        let spec = walking_fleet()
-            .faults(faults.clone())
-            .validate()
-            .expect("valid faulted fleet");
+        let spec = with_faults(faults.clone());
+        spec.validate().expect("valid faulted fleet");
         let json = spec.to_json();
         // Sparse on the wire: only the populated fields appear.
         assert!(json.contains("\"ap_outages\""), "{json}");
@@ -1574,12 +1467,10 @@ mod tests {
         let back = FleetSpec::from_json(&json).expect("parses");
         assert_eq!(back, spec);
         // The naive-hint-trusting ablation flag serializes only when off.
-        let naive = walking_fleet()
-            .faults(FaultSpec {
-                hint_fallback: false,
-                ..faults
-            })
-            .into_spec();
+        let naive = with_faults(FaultSpec {
+            hint_fallback: false,
+            ..faults
+        });
         let json = naive.to_json();
         assert!(json.contains("\"hint_fallback\":false"), "{json}");
         assert_eq!(FleetSpec::from_json(&json).expect("parses"), naive);
@@ -1587,7 +1478,7 @@ mod tests {
 
     #[test]
     fn null_ap_backhaul_parses_as_no_backhaul() {
-        let spec = walking_fleet().into_spec();
+        let spec = walking_fleet();
         let json = spec
             .to_json()
             .replace("\"coverage_m\":", "\"backhaul\":null,\"coverage_m\":");
@@ -1599,7 +1490,7 @@ mod tests {
 
     #[test]
     fn null_medium_and_faults_are_rejected_naming_the_type() {
-        let json = walking_fleet().into_spec().to_json();
+        let json = walking_fleet().to_json();
         for (key, ty) in [("medium", "MediumSpec"), ("faults", "FaultSpec")] {
             let with_null = json.replacen('{', &format!("{{\"{key}\":null,"), 1);
             let msg = FleetSpec::from_json(&with_null).unwrap_err().to_string();
@@ -1610,68 +1501,63 @@ mod tests {
     #[test]
     fn fault_validation_rejects_out_of_range_indices() {
         // The walking fleet has 2 APs and 1 client.
-        let err = walking_fleet()
-            .faults(FaultSpec {
-                ap_outages: vec![outage(2, 5, 3)],
-                ..FaultSpec::default()
-            })
-            .validate()
-            .unwrap_err();
+        let err = with_faults(FaultSpec {
+            ap_outages: vec![outage(2, 5, 3)],
+            ..FaultSpec::default()
+        })
+        .validate()
+        .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("ap_outages[0]"), "{msg}");
         assert!(msg.contains("AP 2"), "{msg}");
         assert!(msg.contains("0..=1"), "must name the valid range: {msg}");
 
-        let err = walking_fleet()
-            .faults(FaultSpec {
-                hint_dropouts: vec![HintDropout {
-                    client: 7,
-                    start: SimDuration::from_secs(1),
-                    duration: SimDuration::from_secs(1),
-                }],
-                ..FaultSpec::default()
-            })
-            .validate()
-            .unwrap_err();
+        let err = with_faults(FaultSpec {
+            hint_dropouts: vec![HintDropout {
+                client: 7,
+                start: SimDuration::from_secs(1),
+                duration: SimDuration::from_secs(1),
+            }],
+            ..FaultSpec::default()
+        })
+        .validate()
+        .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("hint_dropouts[0]"), "{msg}");
         assert!(msg.contains("client 7"), "{msg}");
 
-        let err = walking_fleet()
-            .faults(FaultSpec {
-                radio_blackouts: vec![RadioBlackout {
-                    client: 1,
-                    start: SimDuration::from_secs(1),
-                    duration: SimDuration::from_secs(1),
-                }],
-                ..FaultSpec::default()
-            })
-            .validate()
-            .unwrap_err();
+        let err = with_faults(FaultSpec {
+            radio_blackouts: vec![RadioBlackout {
+                client: 1,
+                start: SimDuration::from_secs(1),
+                duration: SimDuration::from_secs(1),
+            }],
+            ..FaultSpec::default()
+        })
+        .validate()
+        .unwrap_err();
         assert!(err.to_string().contains("radio_blackouts[0]"));
     }
 
     #[test]
     fn fault_validation_rejects_degenerate_windows() {
-        let err = walking_fleet()
-            .faults(FaultSpec {
-                ap_outages: vec![outage(0, 5, 0)],
-                ..FaultSpec::default()
-            })
-            .validate()
-            .unwrap_err();
+        let err = with_faults(FaultSpec {
+            ap_outages: vec![outage(0, 5, 0)],
+            ..FaultSpec::default()
+        })
+        .validate()
+        .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("zero duration"), "{msg}");
 
         // The walking fleet lasts 20 s: a window starting at or past the
         // end can never fire and is almost certainly a typo.
-        let err = walking_fleet()
-            .faults(FaultSpec {
-                ap_outages: vec![outage(0, 20, 5)],
-                ..FaultSpec::default()
-            })
-            .validate()
-            .unwrap_err();
+        let err = with_faults(FaultSpec {
+            ap_outages: vec![outage(0, 20, 5)],
+            ..FaultSpec::default()
+        })
+        .validate()
+        .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("at or past the run end"), "{msg}");
     }
@@ -1681,7 +1567,7 @@ mod tests {
         // u64::MAX µs used to be parseable and would overflow SimTime
         // arithmetic (or OOM the per-second accumulators) inside the
         // engine; now it is a spec error with a actionable message.
-        let mut spec = walking_fleet().into_spec();
+        let mut spec = walking_fleet();
         spec.duration = SimDuration::from_micros(u64::MAX);
         let msg = spec.validate().unwrap_err().to_string();
         assert!(msg.contains("exceeds the supported maximum"), "{msg}");

@@ -38,15 +38,15 @@ pub mod sim;
 pub mod trace;
 pub mod workload;
 
-pub use fleet::{FleetBuilder, FleetOutcome, FleetSpec, HandoffPolicy};
+pub use fleet::{FleetOutcome, FleetSpec, HandoffPolicy};
 pub use hintstream::HintStream;
 pub use protocols::{
     Charm, HintAware, ProtocolKind, ProtocolParams, RapidSample, RateAdapter, Rbar, Rraa,
     SampleRate,
 };
 pub use scenario::{
-    EnvironmentSpec, HintSpec, MotionSpec, ProtocolSpec, Scenario, ScenarioBuilder, ScenarioError,
-    ScenarioOutcome, ScenarioSpec,
+    EnvironmentSpec, HintSpec, MotionSpec, ProtocolSpec, Scenario, ScenarioError, ScenarioOutcome,
+    ScenarioSpec,
 };
 pub use sim::{LinkSimulator, SimResult};
 pub use trace::{Direction, PacketRecord, PacketTrace, TraceError};

@@ -42,7 +42,7 @@ use hint_sim::SimTime;
 /// ```
 /// use hint_mac::BitRate;
 /// use hint_rateadapt::protocols::RateAdapter;
-/// use hint_rateadapt::scenario::ScenarioBuilder;
+/// use hint_rateadapt::scenario::ScenarioSpec;
 /// use hint_sim::{SimDuration, SimTime};
 ///
 /// /// Always transmits at 6 Mbit/s.
@@ -59,11 +59,13 @@ use hint_sim::SimTime;
 ///     fn reset(&mut self, _now: SimTime) {}
 /// }
 ///
-/// let scenario = ScenarioBuilder::new()
-///     .duration(SimDuration::from_secs(2))
-///     .seed(7)
-///     .build()
-///     .expect("valid scenario");
+/// let scenario = ScenarioSpec {
+///     duration: SimDuration::from_secs(2),
+///     seed: 7,
+///     ..ScenarioSpec::default()
+/// }
+/// .compile()
+/// .expect("valid scenario");
 /// let result = scenario.run_with(&mut Fixed6);
 /// assert!(result.goodput_bps > 0.0);
 /// assert_eq!(result.rate_usage[BitRate::R6.index()], result.attempts);

@@ -5,17 +5,17 @@
 //! profile × workload × rate-adaptation protocol × hint configuration.
 //! Historically every figure module, example and CLI hand-assembled its
 //! own `Trace` + adapter + [`LinkSimulator`] pipeline; this module folds
-//! that plumbing into three layers:
+//! that plumbing into two layers:
 //!
 //! * [`ScenarioSpec`] — a plain-data, serde-serializable description of
 //!   one experiment. Specs round-trip through JSON, so a scenario is a
 //!   replayable artifact exactly like the traces it generates (run one
-//!   from the command line with the `scenario_run` binary).
-//! * [`ScenarioBuilder`] — a validating fluent API that produces specs
-//!   (and compiled scenarios) from Rust.
+//!   from the command line with the `scenario_run` binary). From Rust, a
+//!   spec is a struct literal that names the fields it changes and takes
+//!   the rest from `..ScenarioSpec::default()`.
 //! * [`Scenario`] — a compiled spec: it **owns** its generated trace and
-//!   hint stream (via the owning [`LinkSimulator`] constructors) and runs
-//!   adapters over them, returning a [`ScenarioOutcome`].
+//!   hint stream (inside its [`LinkSimulator`]) and runs adapters over
+//!   them, returning a [`ScenarioOutcome`].
 //!
 //! Determinism contract: compiling a spec performs exactly the calls a
 //! hand-built pipeline would — `Trace::generate(env, profile, duration,
@@ -24,18 +24,20 @@
 //! to the equivalent hand-coded run with the same seeds.
 //!
 //! ```
-//! use hint_rateadapt::scenario::{MotionSpec, ScenarioBuilder};
+//! use hint_rateadapt::scenario::{MotionSpec, ProtocolSpec, ScenarioSpec};
 //! use hint_rateadapt::Workload;
 //! use hint_sim::SimDuration;
 //!
-//! let scenario = ScenarioBuilder::new()
-//!     .motion(MotionSpec::Walking { speed_mps: 1.4, heading_deg: 90.0 })
-//!     .duration(SimDuration::from_secs(5))
-//!     .seed(42)
-//!     .workload(Workload::Udp)
-//!     .protocol("RapidSample")
-//!     .build()
-//!     .expect("valid scenario");
+//! let scenario = ScenarioSpec {
+//!     motion: MotionSpec::Walking { speed_mps: 1.4, heading_deg: 90.0 },
+//!     duration: SimDuration::from_secs(5),
+//!     seed: 42,
+//!     workload: Workload::Udp,
+//!     protocol: ProtocolSpec::named("RapidSample"),
+//!     ..ScenarioSpec::default()
+//! }
+//! .compile()
+//! .expect("valid scenario");
 //! let outcome = scenario.run();
 //! assert!(outcome.result.goodput_bps > 0.0);
 //! // Same spec, same seed => bit-identical rerun.
@@ -198,8 +200,8 @@ impl MotionSpec {
     /// self-sizing shapes (`StaticMoveStatic`, `Alternating`, `Custom`),
     /// `None` for variants sized by the scenario duration. Validation
     /// requires an implied duration to equal the scenario duration, so
-    /// use this (or [`ScenarioBuilder::motion_sized`]) instead of
-    /// recomputing segment arithmetic at call sites.
+    /// set a spec's duration from this instead of recomputing segment
+    /// arithmetic at call sites.
     pub fn implied_duration(&self) -> Option<SimDuration> {
         match self {
             MotionSpec::StaticMoveStatic { lead, moving, tail } => Some(*lead + *moving + *tail),
@@ -363,6 +365,8 @@ pub struct ScenarioSpec {
     pub backhaul: Option<hint_cc::BackhaulSpec>,
 }
 
+/// Office environment, stationary motion, 10 s, seed 0, saturated UDP,
+/// RapidSample, no hints, 1000-byte payload, ideal backhaul.
 impl Default for ScenarioSpec {
     fn default() -> Self {
         ScenarioSpec {
@@ -380,11 +384,6 @@ impl Default for ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Start a builder with the default spec.
-    pub fn builder() -> ScenarioBuilder {
-        ScenarioBuilder::new()
-    }
-
     /// Validate and compile.
     pub fn compile(&self) -> Result<Scenario, ScenarioError> {
         let protocol = self.validate()?;
@@ -410,7 +409,6 @@ impl ScenarioSpec {
             spec: self.clone(),
             workload,
             environment,
-            profile,
             protocol,
             sim,
         })
@@ -436,12 +434,29 @@ impl ScenarioSpec {
 
     /// Validate only the trace-shaping fields (environment is always
     /// valid by construction; duration and motion must agree) — the
-    /// subset [`ScenarioBuilder::build_trace`] needs.
+    /// subset [`ScenarioSpec::trace`] needs.
     fn validate_shape(&self) -> Result<(), ScenarioError> {
         if self.duration.is_zero() {
             return Err(ScenarioError::ZeroDuration);
         }
         self.motion.validate(self.duration)
+    }
+
+    /// Validate environment/motion/duration and generate just the channel
+    /// trace — the entry point for experiments (topology probing, link
+    /// analysis) that consume the trace artifact directly rather than
+    /// running a rate-adaptation protocol over it. The other fields are
+    /// ignored.
+    pub fn trace(&self) -> Result<Trace, ScenarioError> {
+        self.validate_shape()?;
+        let environment = self.environment.resolve();
+        let profile = self.motion.profile(self.duration);
+        Ok(Trace::generate(
+            &environment,
+            &profile,
+            self.duration,
+            self.seed,
+        ))
     }
 
     /// Compile and run in one step.
@@ -558,148 +573,6 @@ impl fmt::Display for ScenarioError {
 impl std::error::Error for ScenarioError {}
 
 // ---------------------------------------------------------------------------
-// Builder
-// ---------------------------------------------------------------------------
-
-/// Validating fluent construction of [`ScenarioSpec`]s and compiled
-/// [`Scenario`]s.
-///
-/// Defaults: office environment, stationary motion, 10 s, seed 0,
-/// saturated UDP, RapidSample, no hints, 1000-byte payload.
-#[derive(Clone, Debug, Default)]
-pub struct ScenarioBuilder {
-    spec: ScenarioSpec,
-}
-
-impl ScenarioBuilder {
-    /// A builder holding the default spec.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Select the channel environment.
-    pub fn environment(mut self, env: EnvironmentSpec) -> Self {
-        self.spec.environment = env;
-        self
-    }
-
-    /// Select the ground-truth motion.
-    pub fn motion(mut self, motion: MotionSpec) -> Self {
-        self.spec.motion = motion;
-        self
-    }
-
-    /// Select a self-sizing motion variant (`StaticMoveStatic`,
-    /// `Alternating`, `Custom`) and set the scenario duration to the
-    /// duration it implies, so the two cannot drift apart. For variants
-    /// without an implied duration the duration is left unchanged.
-    pub fn motion_sized(mut self, motion: MotionSpec) -> Self {
-        if let Some(d) = motion.implied_duration() {
-            self.spec.duration = d;
-        }
-        self.spec.motion = motion;
-        self
-    }
-
-    /// Set the trace duration.
-    pub fn duration(mut self, duration: SimDuration) -> Self {
-        self.spec.duration = duration;
-        self
-    }
-
-    /// Set the root seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.spec.seed = seed;
-        self
-    }
-
-    /// Select the traffic workload.
-    pub fn workload(mut self, workload: Workload) -> Self {
-        self.spec.workload = workload;
-        self
-    }
-
-    /// Put a wired backhaul between the sender and the radio link.
-    /// Only closed-loop ([`Workload::Flow`]) traffic crosses the wire;
-    /// open-loop workloads ignore it.
-    pub fn backhaul(mut self, backhaul: hint_cc::BackhaulSpec) -> Self {
-        self.spec.backhaul = Some(backhaul);
-        self
-    }
-
-    /// Select the protocol by name (default SampleRate window).
-    pub fn protocol(mut self, name: impl Into<String>) -> Self {
-        self.spec.protocol = ProtocolSpec::named(name);
-        self
-    }
-
-    /// Override SampleRate's averaging window.
-    pub fn samplerate_window(mut self, window: SimDuration) -> Self {
-        self.spec.protocol.samplerate_window = window;
-        self
-    }
-
-    /// Select the hint feed.
-    pub fn hints(mut self, hints: HintSpec) -> Self {
-        self.spec.hints = hints;
-        self
-    }
-
-    /// Ground-truth hints delayed by `latency`.
-    pub fn oracle_hints(self, latency: SimDuration) -> Self {
-        self.hints(HintSpec::Oracle { latency })
-    }
-
-    /// Full sensor-pipeline hints with the derived default seed.
-    pub fn sensor_hints(self) -> Self {
-        self.hints(HintSpec::Sensors { seed: None })
-    }
-
-    /// Full sensor-pipeline hints with an explicit seed.
-    pub fn sensor_hints_seeded(self, seed: u64) -> Self {
-        self.hints(HintSpec::Sensors { seed: Some(seed) })
-    }
-
-    /// Override the link payload size.
-    pub fn payload_bytes(mut self, bytes: u32) -> Self {
-        self.spec.payload_bytes = bytes;
-        self
-    }
-
-    /// The spec built so far (not yet validated).
-    pub fn spec(&self) -> &ScenarioSpec {
-        &self.spec
-    }
-
-    /// Consume the builder, returning the spec (not yet validated).
-    pub fn into_spec(self) -> ScenarioSpec {
-        self.spec
-    }
-
-    /// Validate and compile.
-    pub fn build(self) -> Result<Scenario, ScenarioError> {
-        self.spec.compile()
-    }
-
-    /// Validate environment/motion/duration and generate just the channel
-    /// trace — the entry point for experiments (topology probing, link
-    /// analysis) that consume the trace artifact directly rather than
-    /// running a rate-adaptation protocol over it.
-    pub fn build_trace(self) -> Result<Trace, ScenarioError> {
-        let spec = self.spec;
-        spec.validate_shape()?;
-        let environment = spec.environment.resolve();
-        let profile = spec.motion.profile(spec.duration);
-        Ok(Trace::generate(
-            &environment,
-            &profile,
-            spec.duration,
-            spec.seed,
-        ))
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Compiled scenario + outcome
 // ---------------------------------------------------------------------------
 
@@ -711,9 +584,8 @@ pub struct Scenario {
     /// The spec's workload with any trace-file source resolved inline.
     workload: Workload,
     environment: Environment,
-    profile: MotionProfile,
     protocol: ProtocolKind,
-    sim: LinkSimulator<'static>,
+    sim: LinkSimulator,
 }
 
 impl Scenario {
@@ -725,11 +597,6 @@ impl Scenario {
     /// The resolved environment.
     pub fn environment(&self) -> &Environment {
         &self.environment
-    }
-
-    /// The compiled ground-truth motion profile.
-    pub fn profile(&self) -> &MotionProfile {
-        &self.profile
     }
 
     /// The generated channel trace.
@@ -828,12 +695,14 @@ mod tests {
     use hint_sim::SimTime;
 
     #[test]
-    fn builder_defaults_compile_and_run() {
-        let scenario = ScenarioBuilder::new()
-            .duration(SimDuration::from_secs(2))
-            .seed(9)
-            .build()
-            .expect("defaults are valid");
+    fn defaults_compile_and_run() {
+        let scenario = ScenarioSpec {
+            duration: SimDuration::from_secs(2),
+            seed: 9,
+            ..ScenarioSpec::default()
+        }
+        .compile()
+        .expect("defaults are valid");
         assert_eq!(scenario.protocol_name(), "RapidSample");
         assert_eq!(scenario.trace().len(), 400);
         assert!(scenario.hints().is_none());
@@ -848,15 +717,16 @@ mod tests {
         // pipeline with the same seeds.
         let duration = SimDuration::from_secs(4);
         let seed = 77;
-        let spec = ScenarioBuilder::new()
-            .environment(EnvironmentSpec::Hallway)
-            .motion(MotionSpec::HalfAndHalf { static_first: true })
-            .duration(duration)
-            .seed(seed)
-            .workload(Workload::tcp())
-            .protocol("HintAware")
-            .sensor_hints()
-            .into_spec();
+        let spec = ScenarioSpec {
+            environment: EnvironmentSpec::Hallway,
+            motion: MotionSpec::HalfAndHalf { static_first: true },
+            duration,
+            seed,
+            workload: Workload::tcp(),
+            protocol: ProtocolSpec::named("HintAware"),
+            hints: HintSpec::Sensors { seed: None },
+            ..ScenarioSpec::default()
+        };
         let outcome = spec.run().expect("valid");
 
         let env = Environment::hallway();
@@ -864,8 +734,8 @@ mod tests {
         let trace = Trace::generate(&env, &profile, duration, seed);
         let hints = HintStream::from_sensors(&profile, duration, seed ^ HINT_SEED_MASK);
         let mut adapter = crate::protocols::HintAware::new();
-        let hand = LinkSimulator::new(&trace)
-            .with_hints(&hints)
+        let hand = LinkSimulator::from_trace(trace)
+            .with_owned_hints(hints)
             .run(&mut adapter, &Workload::tcp());
 
         assert_eq!(outcome.result, hand);
@@ -873,50 +743,66 @@ mod tests {
 
     #[test]
     fn repeated_runs_are_bit_identical() {
-        let scenario = ScenarioBuilder::new()
-            .motion(MotionSpec::Walking {
+        let scenario = ScenarioSpec {
+            motion: MotionSpec::Walking {
                 speed_mps: 1.4,
                 heading_deg: 0.0,
-            })
-            .duration(SimDuration::from_secs(3))
-            .seed(5)
-            .oracle_hints(SimDuration::from_millis(100))
-            .protocol("hintaware")
-            .build()
-            .expect("valid");
+            },
+            duration: SimDuration::from_secs(3),
+            seed: 5,
+            hints: HintSpec::Oracle {
+                latency: SimDuration::from_millis(100),
+            },
+            protocol: ProtocolSpec::named("hintaware"),
+            ..ScenarioSpec::default()
+        }
+        .compile()
+        .expect("valid");
         assert_eq!(scenario.run().result, scenario.run().result);
     }
 
     #[test]
     fn validation_rejects_bad_specs() {
-        let zero = ScenarioBuilder::new().duration(SimDuration::ZERO).build();
+        let zero = ScenarioSpec {
+            duration: SimDuration::ZERO,
+            ..ScenarioSpec::default()
+        }
+        .compile();
         assert_eq!(zero.err(), Some(ScenarioError::ZeroDuration));
 
-        let unknown = ScenarioBuilder::new().protocol("warpdrive").build();
+        let unknown = ScenarioSpec {
+            protocol: ProtocolSpec::named("warpdrive"),
+            ..ScenarioSpec::default()
+        }
+        .compile();
         assert!(matches!(
             unknown.err(),
             Some(ScenarioError::UnknownProtocol { name, .. }) if name == "warpdrive"
         ));
 
-        let bad_sum = ScenarioBuilder::new()
-            .motion(MotionSpec::Alternating {
+        let bad_sum = ScenarioSpec {
+            motion: MotionSpec::Alternating {
                 each: SimDuration::from_secs(3),
                 n_pairs: 2,
-            })
-            .duration(SimDuration::from_secs(10))
-            .build();
+            },
+            duration: SimDuration::from_secs(10),
+            ..ScenarioSpec::default()
+        }
+        .compile();
         assert!(matches!(bad_sum.err(), Some(ScenarioError::BadMotion(_))));
 
         // Custom segments must also sum to the duration — a spec must
         // not silently run different motion than it declares.
-        let short_custom = ScenarioBuilder::new()
-            .motion(MotionSpec::Custom(
+        let short_custom = ScenarioSpec {
+            motion: MotionSpec::Custom(
                 MotionProfile::stationary(SimDuration::from_secs(5))
                     .segments()
                     .to_vec(),
-            ))
-            .duration(SimDuration::from_secs(60))
-            .build();
+            ),
+            duration: SimDuration::from_secs(60),
+            ..ScenarioSpec::default()
+        }
+        .compile();
         assert!(matches!(
             short_custom.err(),
             Some(ScenarioError::BadMotion(_))
@@ -933,28 +819,31 @@ mod tests {
         );
         assert_eq!(ProtocolSpec::named("charm").kind(), Ok(ProtocolKind::Charm));
 
-        let bad_speed = ScenarioBuilder::new()
-            .motion(MotionSpec::Walking {
+        let bad_speed = ScenarioSpec {
+            motion: MotionSpec::Walking {
                 speed_mps: -1.0,
                 heading_deg: 0.0,
-            })
-            .build();
+            },
+            ..ScenarioSpec::default()
+        }
+        .compile();
         assert!(matches!(bad_speed.err(), Some(ScenarioError::BadMotion(_))));
     }
 
     #[test]
-    fn build_trace_matches_direct_generation() {
-        let trace = ScenarioBuilder::new()
-            .environment(EnvironmentSpec::MeshEdge)
-            .motion(MotionSpec::StaticMoveStatic {
+    fn trace_matches_direct_generation_and_rejects_bad_shapes() {
+        let spec = ScenarioSpec {
+            environment: EnvironmentSpec::MeshEdge,
+            motion: MotionSpec::StaticMoveStatic {
                 lead: SimDuration::from_secs(1),
                 moving: SimDuration::from_secs(2),
                 tail: SimDuration::from_secs(1),
-            })
-            .duration(SimDuration::from_secs(4))
-            .seed(41)
-            .build_trace()
-            .expect("valid");
+            },
+            duration: SimDuration::from_secs(4),
+            seed: 41,
+            ..ScenarioSpec::default()
+        };
+        let trace = spec.trace().expect("valid");
         let profile = MotionProfile::static_move_static(
             SimDuration::from_secs(1),
             SimDuration::from_secs(2),
@@ -968,26 +857,62 @@ mod tests {
         );
         assert_eq!(trace.slots, direct.slots);
         assert_eq!(trace.environment, direct.environment);
+
+        let zero = ScenarioSpec {
+            duration: SimDuration::ZERO,
+            ..spec.clone()
+        };
+        assert_eq!(zero.trace().err(), Some(ScenarioError::ZeroDuration));
+        let mismatch = ScenarioSpec {
+            duration: SimDuration::from_secs(5),
+            ..spec
+        };
+        assert!(matches!(
+            mismatch.trace().err(),
+            Some(ScenarioError::BadMotion(msg)) if msg.contains("sum to")
+        ));
     }
 
     #[test]
-    fn motion_sized_derives_duration_from_self_sizing_variants() {
+    fn implied_duration_sizes_self_sizing_variants() {
         let motion = MotionSpec::Alternating {
             each: SimDuration::from_secs(4),
             n_pairs: 3,
         };
-        assert_eq!(motion.implied_duration(), Some(SimDuration::from_secs(24)));
-        let builder = ScenarioBuilder::new().motion_sized(motion);
-        assert_eq!(builder.spec().duration, SimDuration::from_secs(24));
-        // Builder-derived durations always validate.
-        assert!(builder.build().is_ok());
+        let duration = motion.implied_duration().expect("self-sizing");
+        assert_eq!(duration, SimDuration::from_secs(24));
+        // A duration taken from the motion always validates.
+        let spec = ScenarioSpec {
+            motion,
+            duration,
+            ..ScenarioSpec::default()
+        };
+        assert!(spec.compile().is_ok());
 
-        // Duration-sized variants leave the duration untouched.
-        let builder = ScenarioBuilder::new()
-            .duration(SimDuration::from_secs(7))
-            .motion_sized(MotionSpec::Stationary);
-        assert_eq!(builder.spec().duration, SimDuration::from_secs(7));
-        assert_eq!(MotionSpec::Stationary.implied_duration(), None);
+        let custom = MotionSpec::Custom(
+            MotionProfile::alternating(SimDuration::from_millis(1500), 2)
+                .segments()
+                .to_vec(),
+        );
+        assert_eq!(custom.implied_duration(), Some(SimDuration::from_secs(6)));
+        let sms = MotionSpec::StaticMoveStatic {
+            lead: SimDuration::from_secs(1),
+            moving: SimDuration::from_secs(2),
+            tail: SimDuration::from_secs(3),
+        };
+        assert_eq!(sms.implied_duration(), Some(SimDuration::from_secs(6)));
+
+        // Duration-sized variants imply nothing.
+        for motion in [
+            MotionSpec::Stationary,
+            MotionSpec::HalfAndHalf { static_first: true },
+            MotionSpec::Walking {
+                speed_mps: 1.4,
+                heading_deg: 0.0,
+            },
+        ] {
+            assert_eq!(motion.implied_duration(), None, "{motion:?}");
+        }
     }
 
     #[test]
@@ -1019,15 +944,16 @@ mod tests {
         // The historical hang: this spec deserialized fine and then spun
         // the open-loop TCP run forever. It must now be a validation error.
         use crate::workload::TcpConfig;
-        let spec = ScenarioBuilder::new()
-            .workload(Workload::Tcp(TcpConfig {
+        let spec = ScenarioSpec {
+            workload: Workload::Tcp(TcpConfig {
                 rtt: SimDuration::ZERO,
                 rto: SimDuration::ZERO,
                 rto_max: SimDuration::ZERO,
                 link_attempts: 0,
                 cwnd_cap: 0.0,
-            }))
-            .into_spec();
+            }),
+            ..ScenarioSpec::default()
+        };
         let err = spec.run().expect_err("degenerate TCP must be rejected");
         match &err {
             ScenarioError::BadWorkload(msg) => {
@@ -1040,11 +966,12 @@ mod tests {
 
     #[test]
     fn record_then_replay_is_deterministic() {
-        let spec = ScenarioBuilder::new()
-            .duration(SimDuration::from_secs(3))
-            .seed(21)
-            .sensor_hints()
-            .into_spec();
+        let spec = ScenarioSpec {
+            duration: SimDuration::from_secs(3),
+            seed: 21,
+            hints: HintSpec::Sensors { seed: None },
+            ..ScenarioSpec::default()
+        };
         let scenario = spec.compile().expect("valid");
         let (outcome, trace) = scenario.run_recording();
         // Recording must not perturb the run itself.
@@ -1073,10 +1000,11 @@ mod tests {
         let trace_path = dir.join("pkts.txt");
         std::fs::write(&trace_path, "0,s,1000\n500,s,1000\n").expect("trace");
         let spec_path = dir.join("spec.json");
-        let spec = ScenarioBuilder::new()
-            .duration(SimDuration::from_secs(1))
-            .workload(Workload::trace_file("pkts.txt"))
-            .into_spec();
+        let spec = ScenarioSpec {
+            duration: SimDuration::from_secs(1),
+            workload: Workload::trace_file("pkts.txt"),
+            ..ScenarioSpec::default()
+        };
         spec.save(&spec_path).expect("save");
 
         let loaded = ScenarioSpec::load(&spec_path).expect("load");

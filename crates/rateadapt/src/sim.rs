@@ -25,7 +25,6 @@ use hint_channel::Trace;
 use hint_mac::{BitRate, MacTiming};
 use hint_sim::{RngStream, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// Standard deviation of per-packet SNR measurement noise, dB.
@@ -113,18 +112,15 @@ impl SimResult {
 
 /// The trace-driven link simulator.
 ///
-/// The simulator either **borrows** its trace and hint stream (the
-/// classic [`LinkSimulator::new`] / [`LinkSimulator::with_hints`] path,
-/// zero-copy for sweeps that run many adapters over one trace) or
-/// **owns** them ([`LinkSimulator::from_trace`] /
-/// [`LinkSimulator::with_owned_hints`], yielding a self-contained
-/// `LinkSimulator<'static>` that a [`crate::scenario::Scenario`] can
-/// carry across threads without tethering a borrow).
-pub struct LinkSimulator<'a> {
-    trace: Cow<'a, Trace>,
+/// The simulator owns its trace and hint stream, so a
+/// [`crate::scenario::Scenario`] or a worker thread can carry it without
+/// a tethering borrow. [`LinkSimulator::run`] takes `&self`, so a sweep
+/// builds one simulator and runs every adapter over it, copying nothing.
+pub struct LinkSimulator {
+    trace: Trace,
     timing: MacTiming,
     payload_bytes: u32,
-    hints: Option<Cow<'a, HintStream>>,
+    hints: Option<HintStream>,
     /// Per-rate successful-exchange airtime for `payload_bytes`, hoisted
     /// out of the per-attempt loop (the symbol-packing arithmetic is pure
     /// in (rate, payload), and a 10 s trace makes tens of thousands of
@@ -141,20 +137,12 @@ pub struct LinkSimulator<'a> {
     backhaul: Option<BackhaulSpec>,
 }
 
-impl<'a> LinkSimulator<'a> {
-    /// Simulator over a borrowed `trace` with 1000-byte packets and no
-    /// hint feed.
-    pub fn new(trace: &'a Trace) -> Self {
-        Self::over(Cow::Borrowed(trace))
-    }
-
-    /// Simulator that **owns** `trace`, yielding a `'static` value that a
-    /// scenario (or a worker thread) can carry without a tethering borrow.
-    pub fn from_trace(trace: Trace) -> LinkSimulator<'static> {
-        LinkSimulator::over(Cow::Owned(trace))
-    }
-
-    fn over(trace: Cow<'a, Trace>) -> Self {
+impl LinkSimulator {
+    /// Simulator over `trace` with 1000-byte packets and no hint feed.
+    ///
+    /// The name (rather than `new`) predates the single ownership mode
+    /// and is kept because the `perfbench` harness calls it.
+    pub fn from_trace(trace: Trace) -> Self {
         let timing = MacTiming::ieee80211a();
         LinkSimulator {
             trace,
@@ -176,15 +164,11 @@ impl<'a> LinkSimulator<'a> {
     }
 
     /// Attach a movement-hint stream (enables hint-aware protocols).
-    pub fn with_hints(mut self, hints: &'a HintStream) -> Self {
-        self.hints = Some(Cow::Borrowed(hints));
-        self
-    }
-
-    /// Attach an owned movement-hint stream (the self-contained path:
-    /// no borrow ties the simulator to the stream's storage).
+    ///
+    /// The name predates the single ownership mode and is kept because
+    /// the `perfbench` harness calls it.
     pub fn with_owned_hints(mut self, hints: HintStream) -> Self {
-        self.hints = Some(Cow::Owned(hints));
+        self.hints = Some(hints);
         self
     }
 
@@ -244,7 +228,7 @@ impl<'a> LinkSimulator<'a> {
 
     /// The attached movement-hint stream, if any.
     pub fn hint_stream(&self) -> Option<&HintStream> {
-        self.hints.as_deref()
+        self.hints.as_ref()
     }
 
     /// Run `adapter` over the whole trace under `workload`.
@@ -311,8 +295,8 @@ impl<'a> LinkSimulator<'a> {
 /// packet and how many link tries it gets; everything from the rate
 /// pick to the per-second bucket is shared.
 struct LinkRun<'r> {
-    sim: &'r LinkSimulator<'r>,
-    // Borrowed out of `sim`'s `Cow`s once per run: the per-attempt path
+    sim: &'r LinkSimulator,
+    // Borrowed out of `sim` once per run: the per-attempt path
     // reads both after every adapter call, and re-reaching them through
     // `sim` each time measurably slowed the UDP and TCP runs.
     trace: &'r Trace,
@@ -333,7 +317,7 @@ struct LinkRun<'r> {
 
 impl<'r> LinkRun<'r> {
     fn new(
-        sim: &'r LinkSimulator<'r>,
+        sim: &'r LinkSimulator,
         adapter: &'r mut dyn RateAdapter,
         rec: Option<&'r mut Vec<PacketRecord>>,
     ) -> Self {
@@ -341,7 +325,7 @@ impl<'r> LinkRun<'r> {
         LinkRun {
             sim,
             trace: &sim.trace,
-            hints: sim.hints.as_deref(),
+            hints: sim.hints.as_ref(),
             reads_snr: adapter.reads_snr(),
             adapter,
             noise: RngStream::new(sim.trace.seed).derive("link-noise"),
@@ -751,7 +735,7 @@ mod tests {
     fn udp_goodput_bounded_by_phy() {
         let t = trace(false, 10, 1);
         let mut rs = RapidSample::new();
-        let res = LinkSimulator::new(&t).run(&mut rs, &Workload::Udp);
+        let res = LinkSimulator::from_trace(t).run(&mut rs, &Workload::Udp);
         assert!(res.goodput_mbps() > 1.0, "goodput {}", res.goodput_mbps());
         assert!(res.goodput_mbps() < 54.0);
         assert_eq!(res.attempts, res.packets_sent);
@@ -761,10 +745,11 @@ mod tests {
     #[test]
     fn tcp_goodput_below_udp_under_loss() {
         let t = trace(true, 20, 2);
+        let sim = LinkSimulator::from_trace(t);
         let mut a = RapidSample::new();
-        let udp = LinkSimulator::new(&t).run(&mut a, &Workload::Udp);
+        let udp = sim.run(&mut a, &Workload::Udp);
         let mut b = RapidSample::new();
-        let tcp = LinkSimulator::new(&t).run(&mut b, &Workload::tcp());
+        let tcp = sim.run(&mut b, &Workload::tcp());
         assert!(
             tcp.goodput_bps <= udp.goodput_bps * 1.05,
             "tcp {} vs udp {}",
@@ -778,7 +763,7 @@ mod tests {
     fn rate_usage_accounts_for_all_attempts() {
         let t = trace(true, 5, 3);
         let mut rs = SampleRate::new();
-        let res = LinkSimulator::new(&t).run(&mut rs, &Workload::Udp);
+        let res = LinkSimulator::from_trace(t).run(&mut rs, &Workload::Udp);
         let total: u64 = res.rate_usage.iter().sum();
         assert_eq!(total, res.attempts);
     }
@@ -787,7 +772,7 @@ mod tests {
     fn per_second_series_sums_to_delivered() {
         let t = trace(false, 10, 4);
         let mut rs = RapidSample::new();
-        let res = LinkSimulator::new(&t).run(&mut rs, &Workload::Udp);
+        let res = LinkSimulator::from_trace(t).run(&mut rs, &Workload::Udp);
         let sum: u64 = res.delivered_per_second.iter().sum();
         assert_eq!(sum, res.packets_delivered);
         assert_eq!(res.delivered_per_second.len(), 10);
@@ -798,7 +783,7 @@ mod tests {
         let t = trace(true, 5, 5);
         let run = || {
             let mut rs = RapidSample::new();
-            LinkSimulator::new(&t)
+            LinkSimulator::from_trace(t.clone())
                 .run(&mut rs, &Workload::Udp)
                 .goodput_bps
         };
@@ -810,7 +795,7 @@ mod tests {
         let t = trace(true, 10, 7);
         let run = |shares: Option<Vec<f64>>| {
             let mut a = RapidSample::new();
-            let mut sim = LinkSimulator::new(&t);
+            let mut sim = LinkSimulator::from_trace(t.clone());
             if let Some(s) = shares {
                 sim = sim.with_airtime_shares(s);
             }
@@ -826,7 +811,7 @@ mod tests {
         let t = trace(false, 10, 8);
         let run = |share: f64| {
             let mut a = RapidSample::new();
-            LinkSimulator::new(&t)
+            LinkSimulator::from_trace(t.clone())
                 .with_airtime_shares(vec![share; 10])
                 .run(&mut a, &Workload::Udp)
                 .goodput_bps
@@ -844,14 +829,14 @@ mod tests {
     fn starved_share_clamps_and_stays_finite() {
         let t = trace(false, 5, 9);
         let mut a = RapidSample::new();
-        let res = LinkSimulator::new(&t)
+        let res = LinkSimulator::from_trace(t.clone())
             .with_airtime_shares(vec![0.0, f64::NAN, -3.0, 1e-9, 0.2])
             .run(&mut a, &Workload::Udp);
         assert!(res.goodput_bps.is_finite());
         assert!(res.packets_sent > 0, "clamped shares still move frames");
         // Seconds past the share vector run uncontended.
         let mut b = RapidSample::new();
-        let short = LinkSimulator::new(&t)
+        let short = LinkSimulator::from_trace(t)
             .with_airtime_shares(vec![0.5])
             .run(&mut b, &Workload::Udp);
         assert!(short.packets_sent > 0);
@@ -880,8 +865,8 @@ mod tests {
         let t = Trace::generate(&Environment::office(), &p, SimDuration::from_secs(4), 6);
         let hints = HintStream::oracle(&p, SimDuration::from_secs(4), SimDuration::ZERO);
         let mut probe = Probe { hints: Vec::new() };
-        LinkSimulator::new(&t)
-            .with_hints(&hints)
+        LinkSimulator::from_trace(t)
+            .with_owned_hints(hints)
             .run(&mut probe, &Workload::Udp);
         assert!(!probe.hints.is_empty());
         assert!(probe.hints.iter().any(|&m| m));
@@ -902,7 +887,7 @@ mod tests {
             11,
         );
         let mut rs = RapidSample::new();
-        let res = LinkSimulator::new(&t).run(&mut rs, &Workload::tcp());
+        let res = LinkSimulator::from_trace(t).run(&mut rs, &Workload::tcp());
         assert_eq!(res.delivered_per_second.len(), 3);
         let sum: u64 = res.delivered_per_second.iter().sum();
         assert_eq!(sum, res.packets_delivered);
@@ -924,7 +909,7 @@ mod tests {
         });
         for workload in [tcp, flow] {
             let mut rs = RapidSample::new();
-            let res = LinkSimulator::new(&t).run(&mut rs, &workload);
+            let res = LinkSimulator::from_trace(t.clone()).run(&mut rs, &workload);
             assert!(res.packets_sent > 0, "{workload:?}");
             assert!(res.attempts > 0, "{workload:?}");
         }
@@ -934,13 +919,14 @@ mod tests {
     fn recorded_trace_replays_deterministically() {
         let t = trace(false, 5, 13);
         let mut rs = RapidSample::new();
-        let (udp_res, recorded) = LinkSimulator::new(&t).run_recording(&mut rs, &Workload::Udp);
+        let sim = LinkSimulator::from_trace(t);
+        let (udp_res, recorded) = sim.run_recording(&mut rs, &Workload::Udp);
         assert_eq!(recorded.len() as u64, udp_res.packets_delivered);
         assert!(recorded.validate_replayable().is_ok());
 
         let replay = || {
             let mut a = RapidSample::new();
-            LinkSimulator::new(&t).run(&mut a, &Workload::trace(recorded.clone()))
+            sim.run(&mut a, &Workload::trace(recorded.clone()))
         };
         let one = replay();
         let two = replay();
@@ -984,7 +970,7 @@ mod tests {
         ])
         .unwrap();
         let mut rs = RapidSample::new();
-        let res = LinkSimulator::new(&t).run(&mut rs, &Workload::trace(pkt));
+        let res = LinkSimulator::from_trace(t).run(&mut rs, &Workload::trace(pkt));
         assert_eq!(res.packets_sent, 2, "recv ignored, post-end send clipped");
         // The sends land in their scheduled seconds, not back-to-back.
         assert_eq!(res.delivered_per_second.len(), 2);
@@ -1005,7 +991,7 @@ mod tests {
     fn udp_per_second_series_sums_to_delivered_on_partial_final_second() {
         let t = fractional_trace(15);
         let mut rs = RapidSample::new();
-        let res = LinkSimulator::new(&t).run(&mut rs, &Workload::Udp);
+        let res = LinkSimulator::from_trace(t).run(&mut rs, &Workload::Udp);
         assert_eq!(res.delivered_per_second.len(), 3);
         let sum: u64 = res.delivered_per_second.iter().sum();
         assert_eq!(sum, res.packets_delivered);
@@ -1016,9 +1002,10 @@ mod tests {
     fn trace_per_second_series_sums_to_delivered_on_partial_final_second() {
         let t = fractional_trace(16);
         let mut rs = RapidSample::new();
-        let (_, recorded) = LinkSimulator::new(&t).run_recording(&mut rs, &Workload::Udp);
+        let sim = LinkSimulator::from_trace(t);
+        let (_, recorded) = sim.run_recording(&mut rs, &Workload::Udp);
         let mut replayer = RapidSample::new();
-        let res = LinkSimulator::new(&t).run(&mut replayer, &Workload::trace(recorded));
+        let res = sim.run(&mut replayer, &Workload::trace(recorded));
         assert_eq!(res.delivered_per_second.len(), 3);
         let sum: u64 = res.delivered_per_second.iter().sum();
         assert_eq!(sum, res.packets_delivered);
@@ -1029,7 +1016,7 @@ mod tests {
     fn flow_per_second_series_sums_to_delivered_on_partial_final_second() {
         let t = fractional_trace(17);
         let mut rs = RapidSample::new();
-        let res = LinkSimulator::new(&t)
+        let res = LinkSimulator::from_trace(t)
             .with_backhaul(BackhaulSpec::default())
             .run(&mut rs, &Workload::flow());
         assert_eq!(res.delivered_per_second.len(), 3);
@@ -1043,7 +1030,7 @@ mod tests {
         let t = trace(true, 5, 18);
         let run = || {
             let mut rs = RapidSample::new();
-            LinkSimulator::new(&t)
+            LinkSimulator::from_trace(t.clone())
                 .with_backhaul(BackhaulSpec::default())
                 .run(&mut rs, &Workload::flow())
         };
@@ -1054,7 +1041,7 @@ mod tests {
     fn flow_without_backhaul_is_air_limited() {
         let t = trace(false, 5, 19);
         let mut rs = RapidSample::new();
-        let res = LinkSimulator::new(&t).run(&mut rs, &Workload::flow());
+        let res = LinkSimulator::from_trace(t).run(&mut rs, &Workload::flow());
         assert!(res.packets_delivered > 0);
         assert_eq!(res.backhaul_dropped, 0, "no wire, nothing to drop");
         assert!(res.goodput_mbps() < 54.0);
@@ -1065,7 +1052,7 @@ mod tests {
         let t = trace(false, 10, 20);
         let run = |rate_bps: u64| {
             let mut rs = RapidSample::new();
-            LinkSimulator::new(&t)
+            LinkSimulator::from_trace(t.clone())
                 .with_backhaul(BackhaulSpec {
                     rate_bps,
                     ..BackhaulSpec::default()
@@ -1088,7 +1075,7 @@ mod tests {
     fn tiny_backhaul_queue_drops_and_counts() {
         let t = trace(false, 5, 21);
         let mut rs = RapidSample::new();
-        let res = LinkSimulator::new(&t)
+        let res = LinkSimulator::from_trace(t)
             .with_backhaul(BackhaulSpec {
                 rate_bps: 1_000_000,
                 queue_pkts: 1,
@@ -1123,7 +1110,7 @@ mod tests {
         let t = trace(false, 10, 22);
         let run = |cca: CcaSpec| {
             let mut rs = RapidSample::new();
-            LinkSimulator::new(&t)
+            LinkSimulator::from_trace(t.clone())
                 .with_backhaul(BackhaulSpec {
                     rate_bps: 2_000_000,
                     queue_pkts: 4,
@@ -1156,7 +1143,7 @@ mod tests {
     fn flow_recording_captures_delivered_sends() {
         let t = trace(false, 5, 23);
         let mut rs = RapidSample::new();
-        let (res, recorded) = LinkSimulator::new(&t)
+        let (res, recorded) = LinkSimulator::from_trace(t)
             .with_backhaul(BackhaulSpec::default())
             .run_recording(&mut rs, &Workload::flow());
         assert_eq!(recorded.len() as u64, res.packets_delivered);

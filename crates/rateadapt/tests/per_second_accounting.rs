@@ -45,20 +45,21 @@ proptest! {
         let expected_len = duration_ms.div_ceil(1000) as usize;
 
         // UDP (also records the delivered schedule for the replay leg).
+        let air = LinkSimulator::from_trace(t.clone());
         let mut rs = RapidSample::new();
-        let (udp, recorded) = LinkSimulator::new(&t).run_recording(&mut rs, &Workload::Udp);
+        let (udp, recorded) = air.run_recording(&mut rs, &Workload::Udp);
         prop_assert_eq!(series_sum(&udp), udp.packets_delivered, "udp");
         prop_assert_eq!(udp.delivered_per_second.len(), expected_len, "udp len");
 
         // TCP.
         let mut rs = RapidSample::new();
-        let tcp = LinkSimulator::new(&t).run(&mut rs, &Workload::tcp());
+        let tcp = air.run(&mut rs, &Workload::tcp());
         prop_assert_eq!(series_sum(&tcp), tcp.packets_delivered, "tcp");
         prop_assert_eq!(tcp.delivered_per_second.len(), expected_len, "tcp len");
 
         // Trace replay of the recorded UDP schedule.
         let mut rs = RapidSample::new();
-        let replay = LinkSimulator::new(&t).run(&mut rs, &Workload::trace(recorded));
+        let replay = air.run(&mut rs, &Workload::trace(recorded));
         prop_assert_eq!(series_sum(&replay), replay.packets_delivered, "trace");
         prop_assert_eq!(replay.delivered_per_second.len(), expected_len, "trace len");
 
@@ -66,7 +67,7 @@ proptest! {
         // slow wire forces queueing and drops; the invariant must hold
         // on both sides of the bottleneck).
         let mut rs = RapidSample::new();
-        let mut sim = LinkSimulator::new(&t);
+        let mut sim = LinkSimulator::from_trace(t);
         if slow_wire {
             sim = sim.with_backhaul(BackhaulSpec {
                 rate_bps: 2_000_000,

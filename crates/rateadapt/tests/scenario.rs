@@ -3,18 +3,27 @@
 //! 1. **Serde round-trips** — every spec shape survives
 //!    spec → JSON → spec with full equality, so spec files are faithful
 //!    experiment descriptions.
-//! 2. **Spec-vs-builder determinism** — a spec-driven run is bit-identical
-//!    to the equivalent hand-built `Trace` + `HintStream` +
+//! 2. **Spec-vs-pipeline determinism** — a spec-driven run is
+//!    bit-identical to the equivalent hand-built `Trace` + `HintStream` +
 //!    `LinkSimulator` pipeline with the same seeds.
 
 use hint_channel::{Environment, Trace};
+use hint_rateadapt::fleet::{ApPlacement, FleetBounds, FleetClientSpec, FleetSpec, HandoffSpec};
 use hint_rateadapt::scenario::{
-    EnvironmentSpec, HintSpec, MotionSpec, ProtocolSpec, ScenarioBuilder, ScenarioSpec,
-    HINT_SEED_MASK,
+    EnvironmentSpec, HintSpec, MotionSpec, ProtocolSpec, ScenarioSpec, HINT_SEED_MASK,
 };
 use hint_rateadapt::{HintStream, LinkSimulator, ProtocolKind, ProtocolParams, Workload};
 use hint_sensors::MotionProfile;
 use hint_sim::SimDuration;
+
+fn ap(x_m: f64, y_m: f64, coverage_m: f64) -> ApPlacement {
+    ApPlacement {
+        x_m,
+        y_m,
+        coverage_m,
+        backhaul: None,
+    }
+}
 
 fn roundtrip(spec: &ScenarioSpec) -> ScenarioSpec {
     let json = spec.to_json();
@@ -138,8 +147,9 @@ fn spec_file_save_load_round_trips() {
 }
 
 #[test]
-fn spec_and_builder_agree_bit_identically_with_hand_built_run() {
-    // Same experiment three ways: raw pipeline, builder, spec-from-JSON.
+fn spec_literal_and_json_agree_bit_identically_with_hand_built_run() {
+    // Same experiment three ways: raw pipeline, struct literal,
+    // spec-from-JSON.
     let duration = SimDuration::from_secs(6);
     let seed = 4242;
 
@@ -149,49 +159,48 @@ fn spec_and_builder_agree_bit_identically_with_hand_built_run() {
     let trace = Trace::generate(&env, &profile, duration, seed);
     let hints = HintStream::from_sensors(&profile, duration, seed ^ HINT_SEED_MASK);
     let mut adapter = ProtocolKind::HintAware.build(&ProtocolParams::default());
-    let hand = LinkSimulator::new(&trace)
-        .with_hints(&hints)
+    let hand = LinkSimulator::from_trace(trace)
+        .with_owned_hints(hints)
         .run(adapter.as_mut(), &Workload::tcp());
 
-    // 2. Builder.
-    let built = ScenarioBuilder::new()
-        .environment(EnvironmentSpec::Outdoor)
-        .motion(MotionSpec::HalfAndHalf { static_first: true })
-        .duration(duration)
-        .seed(seed)
-        .workload(Workload::tcp())
-        .protocol("HintAware")
-        .sensor_hints()
-        .build()
-        .expect("valid scenario");
-    let from_builder = built.run();
+    // 2. Struct literal.
+    let literal = ScenarioSpec {
+        environment: EnvironmentSpec::Outdoor,
+        motion: MotionSpec::HalfAndHalf { static_first: true },
+        duration,
+        seed,
+        workload: Workload::tcp(),
+        protocol: ProtocolSpec::named("HintAware"),
+        hints: HintSpec::Sensors { seed: None },
+        ..ScenarioSpec::default()
+    };
+    let from_literal = literal.run().expect("valid scenario");
 
-    // 3. The builder's spec, serialized and parsed back.
-    let json = built.spec().to_json();
-    let from_spec = ScenarioSpec::from_json(&json)
-        .expect("parses")
-        .run()
-        .expect("valid spec");
+    // 3. The literal, serialized and parsed back.
+    let parsed = ScenarioSpec::from_json(&literal.to_json()).expect("parses");
+    assert_eq!(parsed, literal);
+    let from_spec = parsed.run().expect("valid spec");
 
-    assert_eq!(from_builder.result, hand);
+    assert_eq!(from_literal.result, hand);
     assert_eq!(from_spec.result, hand);
-    assert_eq!(from_spec, from_builder);
+    assert_eq!(from_spec, from_literal);
 }
 
 #[test]
 fn different_seeds_give_different_outcomes() {
     let run = |seed: u64| {
-        ScenarioBuilder::new()
-            .motion(MotionSpec::Walking {
+        ScenarioSpec {
+            motion: MotionSpec::Walking {
                 speed_mps: 1.4,
                 heading_deg: 0.0,
-            })
-            .duration(SimDuration::from_secs(3))
-            .seed(seed)
-            .build()
-            .expect("valid")
-            .run()
-            .result
+            },
+            duration: SimDuration::from_secs(3),
+            seed,
+            ..ScenarioSpec::default()
+        }
+        .run()
+        .expect("valid")
+        .result
     };
     assert_ne!(run(1), run(2));
     assert_eq!(run(1), run(1));
@@ -200,10 +209,11 @@ fn different_seeds_give_different_outcomes() {
 #[test]
 fn custom_environment_spec_runs_like_its_preset() {
     // `Custom` carrying the office preset behaves exactly like `Office`.
-    let base = ScenarioBuilder::new()
-        .duration(SimDuration::from_secs(2))
-        .seed(3)
-        .into_spec();
+    let base = ScenarioSpec {
+        duration: SimDuration::from_secs(2),
+        seed: 3,
+        ..ScenarioSpec::default()
+    };
     let preset = ScenarioSpec {
         environment: EnvironmentSpec::Office,
         ..base.clone()
@@ -230,35 +240,46 @@ fn null_backhaul_parses_as_no_backhaul() {
 
 #[test]
 fn fleet_spec_round_trips_every_field() {
-    use hint_rateadapt::fleet::FleetSpec;
-    let spec = FleetSpec::builder()
-        .environment(EnvironmentSpec::Hallway)
-        .bounds(300.0, 80.0)
-        .ap(50.0, 40.0, 60.0)
-        .ap(250.0, 40.0, 60.0)
-        .client(
-            10.0,
-            40.0,
-            MotionSpec::Vehicle {
-                speed_mps: 8.0,
-                heading_deg: 90.0,
+    let spec = FleetSpec {
+        environment: EnvironmentSpec::Hallway,
+        bounds: FleetBounds {
+            width_m: 300.0,
+            height_m: 80.0,
+        },
+        aps: vec![ap(50.0, 40.0, 60.0), ap(250.0, 40.0, 60.0)],
+        clients: vec![
+            FleetClientSpec {
+                start_x_m: 10.0,
+                start_y_m: 40.0,
+                motion: MotionSpec::Vehicle {
+                    speed_mps: 8.0,
+                    heading_deg: 90.0,
+                },
+                workload: Workload::tcp(),
             },
-            Workload::tcp(),
-        )
-        .client(20.0, 20.0, MotionSpec::Stationary, Workload::Udp)
-        .duration(SimDuration::from_secs(40))
-        .seed(99)
-        .protocol("SampleRate")
-        .hints(HintSpec::Oracle {
+            FleetClientSpec {
+                start_x_m: 20.0,
+                start_y_m: 20.0,
+                motion: MotionSpec::Stationary,
+                workload: Workload::Udp,
+            },
+        ],
+        duration: SimDuration::from_secs(40),
+        seed: 99,
+        protocol: ProtocolSpec::named("SampleRate"),
+        hints: HintSpec::Oracle {
             latency: SimDuration::from_millis(200),
-        })
-        .handoff_policy("hint-aware")
-        .scan_interval(SimDuration::from_millis(500))
-        .hysteresis(1.5)
-        .reassociation_cost(SimDuration::from_millis(80))
-        .payload_bytes(1500)
-        .validate()
-        .expect("valid fleet spec");
+        },
+        handoff: HandoffSpec {
+            policy: "hint-aware".into(),
+            scan_interval: SimDuration::from_millis(500),
+            hysteresis: 1.5,
+            reassociation_cost: SimDuration::from_millis(80),
+        },
+        payload_bytes: 1500,
+        ..FleetSpec::default()
+    };
+    spec.validate().expect("valid fleet spec");
     let reparsed = FleetSpec::from_json(&spec.to_json()).expect("parses back");
     assert_eq!(reparsed, spec);
     let pretty = FleetSpec::from_json(&spec.to_json_pretty()).expect("pretty parses back");
@@ -267,23 +288,43 @@ fn fleet_spec_round_trips_every_field() {
 
 #[test]
 fn fleet_validation_reuses_scenario_error_paths() {
-    use hint_rateadapt::fleet::FleetSpec;
     use hint_rateadapt::scenario::ScenarioError;
-    let base = || {
-        FleetSpec::builder()
-            .ap(50.0, 40.0, 60.0)
-            .client(10.0, 40.0, MotionSpec::Stationary, Workload::Udp)
-            .duration(SimDuration::from_secs(10))
+    let base = FleetSpec {
+        aps: vec![ap(50.0, 40.0, 60.0)],
+        clients: vec![FleetClientSpec {
+            start_x_m: 10.0,
+            start_y_m: 40.0,
+            motion: MotionSpec::Stationary,
+            workload: Workload::Udp,
+        }],
+        duration: SimDuration::from_secs(10),
+        ..FleetSpec::default()
     };
     assert_eq!(
-        base().duration(SimDuration::ZERO).validate().err(),
+        FleetSpec {
+            duration: SimDuration::ZERO,
+            ..base.clone()
+        }
+        .validate()
+        .err(),
         Some(ScenarioError::ZeroDuration)
     );
     assert_eq!(
-        base().payload_bytes(0).validate().err(),
+        FleetSpec {
+            payload_bytes: 0,
+            ..base.clone()
+        }
+        .validate()
+        .err(),
         Some(ScenarioError::BadPayload(0))
     );
     // Unknown protocols surface as an error that lists the known names.
-    let err = base().protocol("warpdrive").validate().err().unwrap();
+    let err = FleetSpec {
+        protocol: ProtocolSpec::named("warpdrive"),
+        ..base
+    }
+    .validate()
+    .err()
+    .unwrap();
     assert!(err.to_string().contains("one of: HintAware"));
 }

@@ -12,24 +12,28 @@
 //! ```
 
 use sensor_hints::mac::BitRate;
-use sensor_hints::rateadapt::scenario::{EnvironmentSpec, MotionSpec, ScenarioBuilder};
+use sensor_hints::rateadapt::scenario::{EnvironmentSpec, HintSpec, MotionSpec, ScenarioSpec};
 use sensor_hints::sim::SimDuration;
 use sensor_hints::topology::adaptive::{fixed_rate_run, AdaptiveProber};
 use sensor_hints::topology::delivery::{actual_series, held_tracking_error};
 use sensor_hints::topology::ProbeStream;
 
 fn main() {
-    let scenario = ScenarioBuilder::new()
-        .environment(EnvironmentSpec::MeshEdge)
-        .motion_sized(MotionSpec::Alternating {
-            each: SimDuration::from_secs(15),
-            n_pairs: 3,
-        })
-        .seed(99)
-        .sensor_hints_seeded(0x99)
-        .build()
-        .expect("valid mesh-probing scenario");
-    let duration = scenario.spec().duration;
+    let motion = MotionSpec::Alternating {
+        each: SimDuration::from_secs(15),
+        n_pairs: 3,
+    };
+    let duration = motion.implied_duration().expect("self-sizing motion");
+    let scenario = ScenarioSpec {
+        environment: EnvironmentSpec::MeshEdge,
+        motion,
+        duration,
+        seed: 99,
+        hints: HintSpec::Sensors { seed: Some(0x99) },
+        ..ScenarioSpec::default()
+    }
+    .compile()
+    .expect("valid mesh-probing scenario");
     println!(
         "Mesh link '{}', {} alternating static/mobile neighbour",
         scenario.environment().name,

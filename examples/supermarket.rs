@@ -3,7 +3,7 @@
 //! still in front of product displays and moving between aisles, all the
 //! while streaming through the in-store network."
 //!
-//! We describe exactly that experiment as one `ScenarioBuilder` chain —
+//! We describe exactly that experiment as one `ScenarioSpec` literal —
 //! motion pattern, environment, workload, sensor-pipeline hints — then
 //! race all six rate-adaptation protocols over the compiled scenario.
 //! Run with:
@@ -13,27 +13,33 @@
 //! ```
 
 use sensor_hints::rateadapt::protocols::{ProtocolKind, ProtocolParams};
-use sensor_hints::rateadapt::scenario::{MotionSpec, ScenarioBuilder};
+use sensor_hints::rateadapt::scenario::{HintSpec, MotionSpec, ScenarioSpec};
 use sensor_hints::rateadapt::Workload;
 use sensor_hints::sim::SimDuration;
 
 fn main() {
-    // Six aisles: 8 s browsing + 8 s walking, repeated. `motion_sized`
-    // derives the scenario duration from the motion pattern.
+    // Six aisles: 8 s browsing + 8 s walking, repeated. The scenario
+    // duration comes from the motion pattern.
     let seed = 1u64;
-    let scenario = ScenarioBuilder::new()
-        .motion_sized(MotionSpec::Alternating {
-            each: SimDuration::from_secs(8),
-            n_pairs: 6,
-        })
-        .seed(seed)
-        .workload(Workload::tcp())
+    let motion = MotionSpec::Alternating {
+        each: SimDuration::from_secs(8),
+        n_pairs: 6,
+    };
+    let duration = motion.implied_duration().expect("self-sizing motion");
+    let scenario = ScenarioSpec {
+        motion,
+        duration,
+        seed,
+        workload: Workload::tcp(),
         // Hints from the full synthetic-accelerometer + jerk-detector
         // pipeline: real detection latency included.
-        .sensor_hints_seeded(seed ^ 0xA15)
-        .build()
-        .expect("valid supermarket scenario");
-    let duration = scenario.spec().duration;
+        hints: HintSpec::Sensors {
+            seed: Some(seed ^ 0xA15),
+        },
+        ..ScenarioSpec::default()
+    }
+    .compile()
+    .expect("valid supermarket scenario");
 
     println!(
         "Supermarket run: {} of alternating browse/walk in '{}'",

@@ -12,15 +12,15 @@
 //!
 //! Run via `cargo run --release --bin hints-trace -- <args>`.
 //!
-//! Trace generation goes through the Scenario API (`ScenarioBuilder` +
-//! `MotionSpec`). One behavioural note: `--motion mixed` now splits the
+//! Trace generation goes through the Scenario API (a `ScenarioSpec`
+//! literal and `ScenarioSpec::trace`). One behavioural note: `--motion mixed` now splits the
 //! duration exactly in half at microsecond precision, so an *odd*
 //! `--secs` yields halves of `secs/2` fractional seconds rather than the
 //! old integer-second truncation (even `--secs` values are unchanged).
 
 use sensor_hints::channel::Trace;
 use sensor_hints::mac::BitRate;
-use sensor_hints::rateadapt::scenario::{EnvironmentSpec, MotionSpec, ScenarioBuilder};
+use sensor_hints::rateadapt::scenario::{EnvironmentSpec, MotionSpec, ScenarioSpec};
 use sensor_hints::rateadapt::{HintStream, LinkSimulator, ProtocolKind, ProtocolParams, Workload};
 use sensor_hints::sensors::MotionProfile;
 use sensor_hints::sim::SimDuration;
@@ -82,13 +82,14 @@ fn cmd_gen(args: &[String]) -> ExitCode {
         eprintln!("unknown motion {motion_s}");
         return ExitCode::from(2);
     };
-    let trace = match ScenarioBuilder::new()
-        .environment(env)
-        .motion(motion)
-        .duration(SimDuration::from_secs(secs))
-        .seed(seed)
-        .build_trace()
-    {
+    let spec = ScenarioSpec {
+        environment: env,
+        motion,
+        duration: SimDuration::from_secs(secs),
+        seed,
+        ..ScenarioSpec::default()
+    };
+    let trace = match spec.trace() {
         Ok(t) => t,
         Err(e) => {
             eprintln!("invalid scenario: {e}");
@@ -149,18 +150,20 @@ fn workload_of(args: &[String]) -> Workload {
     }
 }
 
-/// Replay one protocol over a loaded trace, using ground-truth-with-
-/// detector-latency hints derived from the trace's own movement flags.
-fn replay(trace: &Trace, protocol: ProtocolKind, workload: &Workload) -> f64 {
+/// A simulator over a loaded trace, with ground-truth-with-detector-
+/// latency hints derived from the trace's own movement flags.
+fn simulator(trace: Trace) -> LinkSimulator {
     // Rebuild a hint stream from the trace's stored ground truth with a
     // 100 ms oracle latency (the detector's measured class).
-    let profile = profile_from_trace(trace);
+    let profile = profile_from_trace(&trace);
     let hints = HintStream::oracle(&profile, trace.duration(), SimDuration::from_millis(100));
+    LinkSimulator::from_trace(trace).with_owned_hints(hints)
+}
+
+/// Replay one protocol over `sim`'s trace; returns the goodput, bit/s.
+fn replay(sim: &LinkSimulator, protocol: ProtocolKind, workload: &Workload) -> f64 {
     let mut adapter = protocol.build(&ProtocolParams::default());
-    LinkSimulator::new(trace)
-        .with_hints(&hints)
-        .run(adapter.as_mut(), workload)
-        .goodput_bps
+    sim.run(adapter.as_mut(), workload).goodput_bps
 }
 
 /// Reconstruct a piecewise motion profile from the trace's moving flags
@@ -211,7 +214,7 @@ fn cmd_replay(path: &str, args: &[String]) -> ExitCode {
         }
         return ExitCode::from(2);
     };
-    let goodput = replay(&trace, kind, &workload_of(args));
+    let goodput = replay(&simulator(trace), kind, &workload_of(args));
     println!("{}: {:.2} Mbit/s", kind.name(), goodput / 1e6);
     ExitCode::SUCCESS
 }
@@ -221,10 +224,11 @@ fn cmd_compare(path: &str, args: &[String]) -> ExitCode {
         Ok(t) => t,
         Err(c) => return c,
     };
+    let sim = simulator(trace);
     let workload = workload_of(args);
     println!("{:<12} {:>12}", "protocol", "Mbit/s");
     for kind in ProtocolKind::ALL {
-        let goodput = replay(&trace, kind, &workload);
+        let goodput = replay(&sim, kind, &workload);
         println!("{:<12} {:>12.2}", kind.name(), goodput / 1e6);
     }
     ExitCode::SUCCESS

@@ -15,8 +15,8 @@
 //! scenario_run scenarios/fleet_office_walk.json
 //! ```
 //!
-//! Spec-driven runs are bit-identical to the equivalent hand-coded
-//! builder runs (same seeds ⇒ same results); the schemas are documented
+//! Spec-driven runs are bit-identical to the same spec written as a Rust
+//! struct literal (same seeds ⇒ same results); the schemas are documented
 //! in EXPERIMENTS.md ("Scenario spec files" and "Fleet spec files").
 
 use sensor_hints::fleet::FleetScenario;

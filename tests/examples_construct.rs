@@ -14,7 +14,7 @@ use sensor_hints::ap::scheduler::{simulate_two_client_schedule, SchedulePolicy};
 use sensor_hints::mac::hint_proto::{HintField, HintWire};
 use sensor_hints::mac::BitRate;
 use sensor_hints::rateadapt::protocols::{ProtocolKind, ProtocolParams};
-use sensor_hints::rateadapt::scenario::{EnvironmentSpec, MotionSpec, ScenarioBuilder};
+use sensor_hints::rateadapt::scenario::{EnvironmentSpec, HintSpec, MotionSpec, ScenarioSpec};
 use sensor_hints::rateadapt::{HintStream, Workload};
 use sensor_hints::sensors::gps::Position;
 use sensor_hints::sensors::MotionProfile;
@@ -45,17 +45,23 @@ fn quickstart_scenario_constructs() {
 /// mixed-mobility TCP session through one compiled scenario.
 #[test]
 fn supermarket_scenario_constructs() {
-    let scenario = ScenarioBuilder::new()
-        .motion_sized(MotionSpec::Alternating {
-            each: SimDuration::from_secs(2),
-            n_pairs: 2,
-        })
-        .seed(1)
-        .workload(Workload::tcp())
-        .sensor_hints_seeded(1 ^ 0xA15)
-        .build()
-        .expect("valid supermarket scenario");
-    let duration = scenario.spec().duration;
+    let motion = MotionSpec::Alternating {
+        each: SimDuration::from_secs(2),
+        n_pairs: 2,
+    };
+    let duration = motion.implied_duration().expect("self-sizing motion");
+    let scenario = ScenarioSpec {
+        motion,
+        duration,
+        seed: 1,
+        workload: Workload::tcp(),
+        hints: HintSpec::Sensors {
+            seed: Some(1 ^ 0xA15),
+        },
+        ..ScenarioSpec::default()
+    }
+    .compile()
+    .expect("valid supermarket scenario");
     for kind in ProtocolKind::ALL {
         let mut adapter = kind.build(&ProtocolParams::default());
         let r = scenario.run_with(adapter.as_mut());
@@ -71,16 +77,20 @@ fn supermarket_scenario_constructs() {
 /// scenario's trace and hint stream.
 #[test]
 fn mesh_probing_scenario_constructs() {
-    let scenario = ScenarioBuilder::new()
-        .environment(EnvironmentSpec::MeshEdge)
-        .motion_sized(MotionSpec::Alternating {
-            each: SimDuration::from_secs(5),
-            n_pairs: 2,
-        })
-        .seed(99)
-        .sensor_hints_seeded(0x99)
-        .build()
-        .expect("valid mesh-probing scenario");
+    let motion = MotionSpec::Alternating {
+        each: SimDuration::from_secs(5),
+        n_pairs: 2,
+    };
+    let scenario = ScenarioSpec {
+        environment: EnvironmentSpec::MeshEdge,
+        duration: motion.implied_duration().expect("self-sizing motion"),
+        motion,
+        seed: 99,
+        hints: HintSpec::Sensors { seed: Some(0x99) },
+        ..ScenarioSpec::default()
+    }
+    .compile()
+    .expect("valid mesh-probing scenario");
     let stream = ProbeStream::from_trace(scenario.trace(), BitRate::R6, 99);
     let hints = scenario.hints().expect("sensor hints configured");
     let actual = actual_series(&stream);

@@ -1,11 +1,12 @@
 //! The checked-in scenario spec files are executable contracts: each must
-//! load, validate, and reproduce the equivalent hand-coded builder run
-//! **bit-identically** (same seeds ⇒ same `SimResult`). This is the
+//! load to the same spec as its Rust struct literal, validate, and
+//! reproduce the literal's run **bit-identically** (same seeds ⇒ same
+//! `SimResult`). This is the
 //! acceptance property behind the `scenario_run` CLI — a JSON file is the
 //! whole experiment.
 
 use sensor_hints::rateadapt::scenario::{
-    EnvironmentSpec, HintSpec, MotionSpec, ScenarioBuilder, ScenarioSpec,
+    EnvironmentSpec, HintSpec, MotionSpec, ProtocolSpec, ScenarioSpec,
 };
 use sensor_hints::rateadapt::Workload;
 use sensor_hints::sim::SimDuration;
@@ -27,22 +28,24 @@ fn golden(name: &str) -> String {
 }
 
 #[test]
-fn mixed_office_tcp_spec_matches_hand_coded_builder_run() {
+fn mixed_office_tcp_spec_matches_its_rust_literal() {
     let spec = ScenarioSpec::load(&spec_path("mixed_office_tcp.json")).expect("spec loads");
     let from_file = spec.run().expect("spec is valid");
 
-    // The same experiment written out in Rust.
-    let hand_coded = ScenarioBuilder::new()
-        .environment(EnvironmentSpec::Office)
-        .motion(MotionSpec::HalfAndHalf { static_first: true })
-        .duration(SimDuration::from_secs(20))
-        .seed(0xCAFE)
-        .workload(Workload::tcp())
-        .protocol("HintAware")
-        .sensor_hints()
-        .build()
-        .expect("valid scenario")
-        .run();
+    // The same experiment written out in Rust: the file and the literal
+    // are the same spec, and run the same.
+    let literal = ScenarioSpec {
+        environment: EnvironmentSpec::Office,
+        motion: MotionSpec::HalfAndHalf { static_first: true },
+        duration: SimDuration::from_secs(20),
+        seed: 0xCAFE,
+        workload: Workload::tcp(),
+        protocol: ProtocolSpec::named("HintAware"),
+        hints: HintSpec::Sensors { seed: None },
+        ..ScenarioSpec::default()
+    };
+    assert_eq!(spec, literal);
+    let hand_coded = literal.run().expect("valid scenario");
 
     assert_eq!(from_file.protocol, "HintAware");
     assert_eq!(from_file.environment, "office");
@@ -57,24 +60,27 @@ fn mixed_office_tcp_spec_matches_hand_coded_builder_run() {
 }
 
 #[test]
-fn vehicular_udp_spec_matches_hand_coded_builder_run() {
+fn vehicular_udp_spec_matches_its_rust_literal() {
     let spec = ScenarioSpec::load(&spec_path("vehicular_udp.json")).expect("spec loads");
     let from_file = spec.run().expect("spec is valid");
 
-    let hand_coded = ScenarioBuilder::new()
-        .environment(EnvironmentSpec::Vehicular)
-        .motion(MotionSpec::Vehicle {
+    let literal = ScenarioSpec {
+        environment: EnvironmentSpec::Vehicular,
+        motion: MotionSpec::Vehicle {
             speed_mps: 15.0,
             heading_deg: 0.0,
-        })
-        .duration(SimDuration::from_secs(10))
-        .seed(7)
-        .workload(Workload::Udp)
-        .protocol("RapidSample")
-        .oracle_hints(SimDuration::from_millis(100))
-        .build()
-        .expect("valid scenario")
-        .run();
+        },
+        duration: SimDuration::from_secs(10),
+        seed: 7,
+        workload: Workload::Udp,
+        protocol: ProtocolSpec::named("RapidSample"),
+        hints: HintSpec::Oracle {
+            latency: SimDuration::from_millis(100),
+        },
+        ..ScenarioSpec::default()
+    };
+    assert_eq!(spec, literal);
+    let hand_coded = literal.run().expect("valid scenario");
 
     assert_eq!(from_file.result, hand_coded.result);
     assert_eq!(from_file.environment, "vehicular");

@@ -350,15 +350,16 @@ fn single_link_spec_with_clients_in_a_string_value_is_not_misrouted() {
     // A custom environment whose *name* is "clients": dispatch must key
     // off the parsed schema, not a substring of the file.
     use sensor_hints::channel::Environment;
-    use sensor_hints::rateadapt::scenario::{EnvironmentSpec, ScenarioBuilder};
+    use sensor_hints::rateadapt::scenario::{EnvironmentSpec, ScenarioSpec};
     use sensor_hints::sim::SimDuration;
     let mut env = Environment::office();
     env.name = "clients".to_string();
-    let spec = ScenarioBuilder::new()
-        .environment(EnvironmentSpec::Custom(env))
-        .duration(SimDuration::from_secs(2))
-        .seed(1)
-        .into_spec();
+    let spec = ScenarioSpec {
+        environment: EnvironmentSpec::Custom(env),
+        duration: SimDuration::from_secs(2),
+        seed: 1,
+        ..ScenarioSpec::default()
+    };
     let path = std::env::temp_dir().join("scenario_run_cli_clients_env.json");
     spec.save(&path).expect("temp spec written");
     let out = scenario_run(&[path.to_str().unwrap()]);

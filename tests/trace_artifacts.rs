@@ -33,14 +33,14 @@ fn saved_trace_replays_identically() {
     assert_eq!(loaded.noise_loss, trace.noise_loss);
 
     let hints = HintStream::oracle(&profile, SimDuration::from_secs(10), SimDuration::ZERO);
-    let run = |t: &Trace| {
+    let run = |t: Trace| {
         let mut rs = RapidSample::new();
-        LinkSimulator::new(t)
-            .with_hints(&hints)
+        LinkSimulator::from_trace(t)
+            .with_owned_hints(hints.clone())
             .run(&mut rs, &Workload::Udp)
     };
-    let a = run(&trace);
-    let b = run(&loaded);
+    let a = run(trace);
+    let b = run(loaded);
     assert_eq!(a.packets_delivered, b.packets_delivered);
     assert_eq!(a.goodput_bps, b.goodput_bps);
     assert_eq!(a.rate_usage, b.rate_usage);
@@ -54,8 +54,8 @@ fn full_pipeline_is_deterministic() {
         let (trace, profile) = mixed_trace(777);
         let hints = HintStream::from_sensors(&profile, SimDuration::from_secs(10), 778);
         let mut rs = RapidSample::new();
-        LinkSimulator::new(&trace)
-            .with_hints(&hints)
+        LinkSimulator::from_trace(trace)
+            .with_owned_hints(hints)
             .run(&mut rs, &Workload::tcp())
             .goodput_bps
     };
